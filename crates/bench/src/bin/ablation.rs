@@ -213,6 +213,6 @@ fn tile_shape_ablation(args: &HarnessArgs) {
     }
     println!(
         "  (wider tiles amortise B-panel loads until the accumulator block \
-         spills out of registers; `TunedParams::host` picks by element width)"
+         spills out of registers; `TunedParams::host` picks by ISA and element width)"
     );
 }

@@ -9,10 +9,10 @@
 //! `std::arch` microkernels that issue genuine FMA vector instructions:
 //!
 //! * **x86-64 AVX2+FMA** — 256-bit lanes, `f64`/`f32` ([`x86`]);
-//! * **x86-64 AVX-512F** — 512-bit lanes for `f64` (the `f32` path keeps
-//!   256-bit kernels: none of the supported [`crate::tuned::TileShape`]s reaches the 16
-//!   lanes a 512-bit `f32` vector needs, and 256-bit operation also avoids
-//!   the classic AVX-512 frequency-license penalty on many parts);
+//! * **x86-64 AVX-512F** — 512-bit lanes for `f64` and `f32`; the
+//!   default tiles (`12×16` for 8-byte elements, `12×32` for `f32` and
+//!   the widened `F16` path, see [`crate::tuned::TileShape::for_isa`])
+//!   fill 24 of the 32 zmm registers with accumulators;
 //! * **aarch64 NEON** — 128-bit lanes, `f64`/`f32`, compiled only on
 //!   aarch64 (the `neon` submodule);
 //! * **portable** — the original autovectorized scalar tile, always
@@ -30,11 +30,14 @@
 //!
 //! A SIMD kernel is used only when the register tile qualifies: the tile
 //! width `NR` must be a multiple of the vector lane count for the element
-//! type (e.g. 4 lanes for `f64` on AVX2). Non-qualifying tiles — including
-//! everything the ablation sweeps beyond the default — fall back to the
-//! portable tile via [`select`]. Ragged edge tiles need no special case at
-//! this level: the packing routines zero-pad micropanels to full `MR`/`NR`
-//! extent, so a microkernel always computes a full tile.
+//! type (e.g. 4 lanes for `f64` on AVX2), and one accumulator row may span
+//! at most the kernel's `MAX_VECS` registers (a wider row would spill).
+//! Under AVX-512 a tile that misses the 512-bit rule tries the 256-bit
+//! kernel next. Non-qualifying tiles (e.g. the `12×32` ablation tile for
+//! `f64`) fall back to the portable tile via [`select`]. Ragged edge
+//! tiles need no special case at this level: the packing routines
+//! zero-pad micropanels to full `MR`/`NR` extent, so a microkernel always
+//! computes a full tile.
 //!
 //! # FMA-contraction caveat
 //!
@@ -94,7 +97,7 @@ use std::sync::OnceLock;
 /// [`available`]: Isa::available
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
-    /// x86-64 AVX-512F: 512-bit lanes for `f64`, 256-bit for `f32`.
+    /// x86-64 AVX-512F: 512-bit lanes for `f64` and `f32`.
     Avx512,
     /// x86-64 AVX2 + FMA: 256-bit lanes.
     Avx2,
@@ -310,30 +313,43 @@ fn native<T: Scalar, const MR: usize, const NR: usize>(isa: Isa) -> Option<Micro
     let is_f32 = TypeId::of::<T>() == TypeId::of::<f32>();
     #[cfg(target_arch = "x86_64")]
     {
+        // A kernel of `lanes`-wide vectors serves the tile when a row of
+        // `NR` accumulators is a whole number of at most `MAX_VECS` vectors.
+        let fits = |lanes: usize| NR.is_multiple_of(lanes) && NR / lanes <= x86::MAX_VECS;
+        // AVX-512F implies AVX2+FMA, so the 256-bit kernels are legal
+        // under either verdict.
+        let zmm = isa == Isa::Avx512;
+        let ymm = matches!(isa, Isa::Avx512 | Isa::Avx2);
         if is_f64 {
-            if isa == Isa::Avx512 && NR.is_multiple_of(8) {
+            if zmm && fits(8) {
                 // SAFETY: T == f64.
                 return Some(unsafe { cast_kernel(x86::f64_avx512::<MR, NR>) });
             }
-            if matches!(isa, Isa::Avx512 | Isa::Avx2) && NR.is_multiple_of(4) {
-                // SAFETY: T == f64. (AVX-512F implies AVX2+FMA, so the
-                // 256-bit kernel is legal under either verdict.)
+            if ymm && fits(4) {
+                // SAFETY: T == f64.
                 return Some(unsafe { cast_kernel(x86::f64_avx2::<MR, NR>) });
             }
         }
-        if is_f32 && matches!(isa, Isa::Avx512 | Isa::Avx2) && NR.is_multiple_of(8) {
-            // SAFETY: T == f32.
-            return Some(unsafe { cast_kernel(x86::f32_avx2::<MR, NR>) });
+        if is_f32 {
+            if zmm && fits(16) {
+                // SAFETY: T == f32.
+                return Some(unsafe { cast_kernel(x86::f32_avx512::<MR, NR>) });
+            }
+            if ymm && fits(8) {
+                // SAFETY: T == f32.
+                return Some(unsafe { cast_kernel(x86::f32_avx2::<MR, NR>) });
+            }
         }
     }
     #[cfg(target_arch = "aarch64")]
     {
+        let fits = |lanes: usize| NR.is_multiple_of(lanes) && NR / lanes <= neon::MAX_VECS;
         if isa == Isa::Neon {
-            if is_f64 && NR.is_multiple_of(2) {
+            if is_f64 && fits(2) {
                 // SAFETY: T == f64.
                 return Some(unsafe { cast_kernel(neon::f64_neon::<MR, NR>) });
             }
-            if is_f32 && NR.is_multiple_of(4) {
+            if is_f32 && fits(4) {
                 // SAFETY: T == f32.
                 return Some(unsafe { cast_kernel(neon::f32_neon::<MR, NR>) });
             }
@@ -455,11 +471,20 @@ mod tests {
                 // The software-half type never gets a native kernel (the
                 // tuned driver widens it to f32 first).
                 assert!(!is_native::<perfport_half::F16, 4, 8>(Isa::Avx2));
+                // A 16-wide f64 row is four ymm vectors: past MAX_VECS.
+                assert!(!is_native::<f64, 12, 16>(Isa::Avx2));
+                assert!(is_native::<f32, 12, 16>(Isa::Avx2));
+                assert!(!is_native::<f32, 12, 32>(Isa::Avx2));
             }
             if Isa::Avx512.available() {
                 assert!(is_native::<f64, 8, 8>(Isa::Avx512));
                 assert!(is_native::<f64, 4, 4>(Isa::Avx512));
                 assert!(is_native::<f32, 8, 8>(Isa::Avx512));
+                // The AVX-512 default tiles run 512-bit kernels.
+                assert!(is_native::<f64, 12, 16>(Isa::Avx512));
+                assert!(is_native::<f32, 12, 32>(Isa::Avx512));
+                // Four zmm per row would spill: portable fallback.
+                assert!(!is_native::<f64, 12, 32>(Isa::Avx512));
             }
         }
         #[cfg(target_arch = "aarch64")]
@@ -469,23 +494,30 @@ mod tests {
         }
     }
 
+    /// Native vs portable on one tile, for both hardware precisions.
+    fn exact_products_agree<const MR: usize, const NR: usize>(isa: Isa) {
+        let kb = 7;
+        let ap64: Vec<f64> = (0..kb * MR).map(|i| ((i % 11) as f64) - 5.0).collect();
+        let bp64: Vec<f64> = (0..kb * NR).map(|i| ((i % 7) as f64) * 0.5).collect();
+        let native = select::<f64, MR, NR>(isa)(kb, &ap64, &bp64);
+        let reference = portable::<f64, MR, NR>(kb, &ap64, &bp64);
+        assert_eq!(native, reference, "{isa} f64 {MR}x{NR}");
+        let ap32: Vec<f32> = ap64.iter().map(|&x| x as f32).collect();
+        let bp32: Vec<f32> = bp64.iter().map(|&x| x as f32).collect();
+        let native = select::<f32, MR, NR>(isa)(kb, &ap32, &bp32);
+        let reference = portable::<f32, MR, NR>(kb, &ap32, &bp32);
+        assert_eq!(native, reference, "{isa} f32 {MR}x{NR}");
+    }
+
     #[test]
     fn native_kernels_match_portable_on_exact_products() {
         // Products of small integers are exact at every precision, so
         // native and portable kernels must agree bit-for-bit on them
         // (FMA contraction cannot change an exact result).
         for isa in Isa::ALL.into_iter().filter(|i| i.available()) {
-            let kb = 7;
-            let ap64: Vec<f64> = (0..kb * 8).map(|i| ((i % 11) as f64) - 5.0).collect();
-            let bp64: Vec<f64> = (0..kb * 8).map(|i| ((i % 7) as f64) * 0.5).collect();
-            let native = select::<f64, 8, 8>(isa)(kb, &ap64, &bp64);
-            let reference = portable::<f64, 8, 8>(kb, &ap64, &bp64);
-            assert_eq!(native, reference, "{isa} f64");
-            let ap32: Vec<f32> = ap64.iter().map(|&x| x as f32).collect();
-            let bp32: Vec<f32> = bp64.iter().map(|&x| x as f32).collect();
-            let native = select::<f32, 8, 8>(isa)(kb, &ap32, &bp32);
-            let reference = portable::<f32, 8, 8>(kb, &ap32, &bp32);
-            assert_eq!(native, reference, "{isa} f32");
+            exact_products_agree::<8, 8>(isa);
+            exact_products_agree::<12, 16>(isa);
+            exact_products_agree::<12, 32>(isa);
         }
     }
 

@@ -4,14 +4,17 @@
 //! one fused multiply-add per accumulator register per `p` step, with the
 //! `A` value broadcast via the `*_n_*` lane forms. `f64` uses 2-lane
 //! vectors (`NR % 2 == 0`), `f32` 4-lane (`NR % 4 == 0`), so every
-//! supported [`crate::TileShape`] qualifies on this architecture. The
+//! supported [`crate::TileShape`] up to 8 columns qualifies on this
+//! architecture (the AVX-512-sized `12×16`/`12×32` rows exceed
+//! `MAX_VECS` and take the portable tile). The
 //! same FMA-contraction caveat as on x86 applies: results differ from the
 //! portable kernel by at most one rounding per multiply-accumulate.
 
 use std::arch::aarch64::*;
 
-/// Largest `NR/W` the supported tile set produces (`NR ≤ 8`, `W ≥ 2`).
-const MAX_VECS: usize = 4;
+/// Most vector registers one accumulator row may span (`NR/W`): an
+/// 8-column row at 2 lanes.
+pub(super) const MAX_VECS: usize = 4;
 
 /// `f64` tile on 2-lane NEON vectors; `NR` must be even.
 ///

@@ -1,4 +1,5 @@
-//! x86-64 microkernels: AVX2+FMA (256-bit) and AVX-512F (512-bit).
+//! x86-64 microkernels: AVX2+FMA (256-bit) and AVX-512F (512-bit), each
+//! for `f64` and `f32`.
 //!
 //! Each kernel is const-generic over the register tile so LLVM fully
 //! unrolls the per-`p` body: the `MR×NR` accumulator tile lives in `MR ×
@@ -8,18 +9,22 @@
 //! unaligned-tolerant (`loadu`): micropanel starts are 64-byte aligned,
 //! but interior `p·MR`/`p·NR` offsets need not be a vector multiple.
 //!
-//! The wrappers at the bottom are the only public surface; they bound-
-//! check the panels and confine the `unsafe` needed to call a
-//! `#[target_feature]` function. Their safety rests on the dispatch
-//! contract in [`crate::simd`]: `select` hands these wrappers out only
-//! after the matching CPU feature was detected at runtime.
+//! The wrappers at the bottom are the only public surface; they check
+//! the CPU feature and the panel bounds and confine the `unsafe` needed
+//! to call a `#[target_feature]` function. [`crate::simd::select`] hands
+//! them out only after the matching feature was detected, so the check
+//! never fails on the dispatch path.
 
+use crate::simd::Isa;
 use std::arch::x86_64::*;
 
-/// Largest `NR/W` the supported tile set produces (`NR ≤ 8`, `W ≥ 4`),
-/// sizing the fixed per-row vector arrays below. Unused high slots are
-/// dead code the unroller deletes.
-const MAX_VECS: usize = 2;
+/// Most vector registers one accumulator row may span (`NR/W`), sizing
+/// the fixed per-row vector arrays below. Two covers the AVX-512 default
+/// tiles (`12×16` `f64`, `12×32` `f32`: 24 zmm accumulators, 2 `B`
+/// vectors and 1 broadcast in the 32-register file); wider rows would
+/// spill, so [`crate::simd::select`] sends them to the portable tile.
+/// Unused high slots are dead code the unroller deletes.
+pub(super) const MAX_VECS: usize = 2;
 
 /// `f64` tile on 256-bit AVX2 lanes with FMA accumulation. `NR` must be
 /// a multiple of 4 (checked by the caller via `debug_assert`; the public
@@ -63,9 +68,9 @@ unsafe fn kernel_f64_avx2<const MR: usize, const NR: usize>(
 }
 
 /// `f32` tile on 256-bit AVX2 lanes with FMA accumulation; `NR` must be
-/// a multiple of 8. Also the `f32` kernel under an AVX-512 verdict: none
-/// of the supported tiles reaches 16 lanes, and 256-bit operation avoids
-/// the AVX-512 frequency license on many parts.
+/// a multiple of 8. Under an AVX-512 verdict it serves only the `f32`
+/// tiles whose `NR` is not a multiple of 16 (e.g. the `8×8` ablation
+/// tile); the `12×32` default runs [`kernel_f32_avx512`].
 ///
 /// # Safety
 ///
@@ -105,8 +110,8 @@ unsafe fn kernel_f32_avx2<const MR: usize, const NR: usize>(
 }
 
 /// `f64` tile on 512-bit AVX-512F lanes; `NR` must be a multiple of 8,
-/// so each accumulator row is exactly one zmm register for the `8×8`
-/// default tile.
+/// so each accumulator row of the `12×16` default tile is two zmm
+/// registers.
 ///
 /// # Safety
 ///
@@ -145,6 +150,57 @@ unsafe fn kernel_f64_avx512<const MR: usize, const NR: usize>(
     out
 }
 
+/// `f32` tile on 512-bit AVX-512F lanes; `NR` must be a multiple of 16,
+/// so each accumulator row of the `12×32` default tile (also the widened
+/// `F16` tile) is two zmm registers.
+///
+/// # Safety
+///
+/// Requires AVX-512F at runtime; `ap`/`bp` must hold at least `kb*MR` /
+/// `kb*NR` elements.
+#[target_feature(enable = "avx512f")]
+unsafe fn kernel_f32_avx512<const MR: usize, const NR: usize>(
+    kb: usize,
+    ap: &[f32],
+    bp: &[f32],
+) -> [[f32; NR]; MR] {
+    const W: usize = 16;
+    debug_assert!(NR.is_multiple_of(W) && NR / W <= MAX_VECS);
+    let nv = NR / W;
+    let mut acc = [[_mm512_setzero_ps(); MAX_VECS]; MR];
+    let a = ap.as_ptr();
+    let b = bp.as_ptr();
+    for p in 0..kb {
+        let mut bv = [_mm512_setzero_ps(); MAX_VECS];
+        for (j, v) in bv.iter_mut().enumerate().take(nv) {
+            *v = _mm512_loadu_ps(b.add(p * NR + j * W));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*a.add(p * MR + r));
+            for j in 0..nv {
+                row[j] = _mm512_fmadd_ps(av, bv[j], row[j]);
+            }
+        }
+    }
+    let mut out = [[0.0f32; NR]; MR];
+    for (row, accr) in out.iter_mut().zip(&acc) {
+        for (j, &v) in accr.iter().enumerate().take(nv) {
+            _mm512_storeu_ps(row.as_mut_ptr().add(j * W), v);
+        }
+    }
+    out
+}
+
+/// Panics unless this CPU executes `isa`. The wrappers below are public,
+/// so their soundness cannot rest on [`crate::simd::select`] alone; the
+/// feature probe is a cached load, negligible against one tile's FMAs.
+fn require(isa: Isa) {
+    assert!(
+        isa.available(),
+        "{isa} microkernel called on a CPU without {isa}"
+    );
+}
+
 /// Safe entry for the AVX2+FMA `f64` kernel (see [`crate::simd::select`]
 /// for when it is handed out).
 pub fn f64_avx2<const MR: usize, const NR: usize>(
@@ -156,9 +212,9 @@ pub fn f64_avx2<const MR: usize, const NR: usize>(
         ap.len() >= kb * MR && bp.len() >= kb * NR,
         "panel too short"
     );
-    // SAFETY: only reachable through `simd::select`, which returns this
-    // entry only under an ISA verdict that detected AVX2+FMA; panel
-    // bounds were just asserted.
+    require(Isa::Avx2);
+    // SAFETY: AVX2+FMA was detected and the panel bounds were asserted
+    // just above.
     unsafe { kernel_f64_avx2::<MR, NR>(kb, ap, bp) }
 }
 
@@ -172,6 +228,7 @@ pub fn f32_avx2<const MR: usize, const NR: usize>(
         ap.len() >= kb * MR && bp.len() >= kb * NR,
         "panel too short"
     );
+    require(Isa::Avx2);
     // SAFETY: as for `f64_avx2`.
     unsafe { kernel_f32_avx2::<MR, NR>(kb, ap, bp) }
 }
@@ -186,15 +243,31 @@ pub fn f64_avx512<const MR: usize, const NR: usize>(
         ap.len() >= kb * MR && bp.len() >= kb * NR,
         "panel too short"
     );
-    // SAFETY: only reachable through `simd::select` under an AVX-512F
-    // verdict; panel bounds were just asserted.
+    require(Isa::Avx512);
+    // SAFETY: AVX-512F was detected and the panel bounds were asserted
+    // just above.
     unsafe { kernel_f64_avx512::<MR, NR>(kb, ap, bp) }
+}
+
+/// Safe entry for the AVX-512F `f32` kernel.
+pub fn f32_avx512<const MR: usize, const NR: usize>(
+    kb: usize,
+    ap: &[f32],
+    bp: &[f32],
+) -> [[f32; NR]; MR] {
+    assert!(
+        ap.len() >= kb * MR && bp.len() >= kb * NR,
+        "panel too short"
+    );
+    require(Isa::Avx512);
+    // SAFETY: as for `f64_avx512`.
+    unsafe { kernel_f32_avx512::<MR, NR>(kb, ap, bp) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::{portable, Isa};
+    use crate::simd::portable;
 
     fn panels(kb: usize, mr: usize, nr: usize) -> (Vec<f64>, Vec<f64>) {
         let ap = (0..kb * mr)
@@ -236,6 +309,55 @@ mod tests {
                 assert!((a - b).abs() < 1e-13);
             }
         }
+    }
+
+    #[test]
+    fn avx512_f64_default_tile_matches_avx2() {
+        if !Isa::Avx512.available() {
+            return;
+        }
+        for kb in [0, 1, 29, 256] {
+            let (ap, bp) = panels(kb, 12, 16);
+            let z = f64_avx512::<12, 16>(kb, &ap, &bp);
+            // A 16-wide row is four ymm vectors, past `MAX_VECS`, so the
+            // 256-bit kernel runs the two 8-column halves of the panel.
+            let half = |lo: usize| -> Vec<f64> {
+                bp.chunks(16)
+                    .flat_map(|row| row[lo..lo + 8].to_vec())
+                    .collect()
+            };
+            let y_lo = f64_avx2::<12, 8>(kb, &ap, &half(0));
+            let y_hi = f64_avx2::<12, 8>(kb, &ap, &half(8));
+            for (r, zr) in z.iter().enumerate() {
+                // Same FMA sequence per element at either width: bitwise.
+                assert_eq!(zr[..8], y_lo[r], "kb={kb} row {r}");
+                assert_eq!(zr[8..], y_hi[r], "kb={kb} row {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn avx512_f32_matches_portable_within_fma_tolerance() {
+        if !Isa::Avx512.available() {
+            return;
+        }
+        for kb in [0, 1, 33, 256] {
+            let (ap64, bp64) = panels(kb, 12, 32);
+            let ap: Vec<f32> = ap64.iter().map(|&x| x as f32).collect();
+            let bp: Vec<f32> = bp64.iter().map(|&x| x as f32).collect();
+            let simd = f32_avx512::<12, 32>(kb, &ap, &bp);
+            let scalar = portable::<f32, 12, 32>(kb, &ap, &bp);
+            let tol = (kb as f32).max(1.0) * f32::EPSILON * 8.0;
+            for (sr, pr) in simd.iter().zip(&scalar) {
+                for (s, p) in sr.iter().zip(pr) {
+                    assert!(
+                        (s - p).abs() <= tol * p.abs().max(1.0),
+                        "kb={kb}: {s} vs {p}"
+                    );
+                }
+            }
+        }
+        assert_eq!(f32_avx512::<12, 32>(0, &[], &[]), [[0.0f32; 32]; 12]);
     }
 
     #[test]

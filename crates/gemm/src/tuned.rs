@@ -23,7 +23,8 @@
 //!    [`CacheInfo`]).
 //!
 //! Parallelisation follows the paper's CPU strategy: macro-row-blocks of
-//! `C` are the work-sharing index space on the existing [`ThreadPool`],
+//! `C` (`MR`-aligned, at most `Mc` rows, balanced across the team) are
+//! the work-sharing index space on the existing [`ThreadPool`],
 //! and every worker packs into a thread-local [`PackArena`] that is
 //! reused across calls, so sweep loops do not reallocate per size point.
 //!
@@ -60,6 +61,43 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+/// The supported register tiles as `(MR, NR)` pairs, in ablation order.
+/// [`TileShape::ALL`] and every monomorphised dispatch (`tile_fn!`)
+/// expand from this one list, so supporting a new tile is one entry here.
+/// Invokes `$then!` with the caller's arguments followed by the pairs.
+macro_rules! with_supported_tiles {
+    ($then:ident!($($args:tt)*)) => {
+        $then! { ($($args)*) (4, 4) (8, 4) (4, 8) (8, 8) (12, 16) (12, 32) }
+    };
+}
+
+/// Emits a `[TileShape; N]` constant holding every supported tile.
+macro_rules! tile_array {
+    (($(#[$attr:meta])* $vis:vis const $name:ident) $(($mr:literal, $nr:literal))*) => {
+        $(#[$attr])*
+        $vis const $name: [TileShape; [$($mr),*].len()] = [$(TileShape { mr: $mr, nr: $nr }),*];
+    };
+}
+
+/// `$f::<$g, MR, NR>` for the runtime tile `$tile`, as a function
+/// pointer: the dispatch table from `with_supported_tiles!`. Panics
+/// with `unsupported tile shape` for any other tile.
+macro_rules! tile_fn {
+    ($tile:expr, $f:ident::<$g:ty>) => {
+        with_supported_tiles!(tile_match!($tile, $f::<$g>))
+    };
+}
+
+/// The `match` behind `tile_fn!`.
+macro_rules! tile_match {
+    (($tile:expr, $f:ident::<$g:ty>) $(($mr:literal, $nr:literal))*) => {
+        match ($tile.mr, $tile.nr) {
+            $(($mr, $nr) => $f::<$g, $mr, $nr>,)*
+            _ => panic!("unsupported tile shape {}", $tile),
+        }
+    };
+}
+
 /// Register-tile extents of the microkernel: `MR` rows × `NR` columns of
 /// `C` accumulated in registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,14 +109,11 @@ pub struct TileShape {
 }
 
 impl TileShape {
-    /// The shapes the ablation sweeps (every combination the dispatch
-    /// supports).
-    pub const ALL: [TileShape; 4] = [
-        TileShape { mr: 4, nr: 4 },
-        TileShape { mr: 8, nr: 4 },
-        TileShape { mr: 4, nr: 8 },
-        TileShape { mr: 8, nr: 8 },
-    ];
+    with_supported_tiles!(tile_array!(
+        /// The shapes the ablation sweeps (every combination the dispatch
+        /// supports).
+        pub const ALL
+    ));
 
     /// Default tile for an element width: wide elements get the small
     /// square tile (the accumulator must fit the 16 SIMD registers of a
@@ -98,8 +133,12 @@ impl TileShape {
     /// x86-64's 16 xmm registers). Native kernels hold one accumulator
     /// row in `NR·BYTES/width` registers, so they afford taller tiles:
     /// 256-bit ISAs (AVX2, and NEON with four 128-bit accumulators per
-    /// row) take `8×4` for 8-byte elements and `8×8` for narrower ones;
-    /// AVX-512 takes `8×8` so an `f64` row is exactly one zmm register.
+    /// row) take `8×4` for 8-byte elements and `8×8` for narrower ones.
+    /// AVX-512 takes `12×16` for 8-byte elements and `12×32` for
+    /// narrower ones (`f32` and the widened `F16` path): two zmm
+    /// registers per row, so 24 accumulators plus 2 `B` vectors and one
+    /// broadcast fill the 32-register file, and each `p` step issues 24
+    /// FMAs per 14 loads.
     ///
     /// [`default_for`]: TileShape::default_for
     pub fn for_isa(isa: Isa, elem_bytes: usize) -> TileShape {
@@ -112,7 +151,13 @@ impl TileShape {
                     TileShape { mr: 8, nr: 8 }
                 }
             }
-            Isa::Avx512 => TileShape { mr: 8, nr: 8 },
+            Isa::Avx512 => {
+                if elem_bytes >= 8 {
+                    TileShape { mr: 12, nr: 16 }
+                } else {
+                    TileShape { mr: 12, nr: 32 }
+                }
+            }
         }
     }
 
@@ -888,11 +933,9 @@ fn run_pipelined<P: PackOps, const MR: usize, const NR: usize>(
 ) -> (TunedStats, GraphStats) {
     let (m, n) = c_shape;
     let k = a.cols();
-    let mc = blocks.mc;
     let microkernel = simd::select::<P::Pack, MR, NR>(isa);
     let panels = panels(n, k, blocks);
-    let row_blocks: Vec<(usize, usize)> =
-        (0..m).step_by(mc).map(|i0| (i0, mc.min(m - i0))).collect();
+    let row_blocks = row_blocks(m, MR, blocks.mc, pool.num_threads());
     if panels.is_empty() || row_blocks.is_empty() {
         // Nothing to contract or no C rows: C is already correct, and
         // building pack tasks without compute readers would break the
@@ -936,7 +979,8 @@ fn run_pipelined<P: PackOps, const MR: usize, const NR: usize>(
             perfport_telemetry::observe("gemm/pack_ns", t1.saturating_sub(t0));
         });
         let mut this_panel = Vec::with_capacity(row_blocks.len());
-        for (r, &(i0, mb)) in row_blocks.iter().enumerate() {
+        for (r, rows) in row_blocks.iter().enumerate() {
+            let (i0, mb) = (rows.start, rows.len());
             let deps: Vec<TaskId> = match one_ago.get(r) {
                 Some(&prev) => vec![pack, prev],
                 None => vec![pack],
@@ -1020,33 +1064,59 @@ fn run_pipelined_dispatch<T: Scalar>(
     params: &TunedParams,
     isa: Isa,
 ) -> (TunedStats, GraphStats) {
-    if TypeId::of::<T>() == TypeId::of::<F16>() {
-        let a16 = (a as &dyn Any)
-            .downcast_ref::<Matrix<F16>>()
-            .expect("T is F16");
-        let b16 = (b as &dyn Any)
-            .downcast_ref::<Matrix<F16>>()
-            .expect("T is F16");
-        // SAFETY: `T` is exactly `F16` (checked above), so the cast is
-        // the identity (see `gemm_rows_with_isa`).
-        let c16 = unsafe { &*(c as *const DisjointSlice<'_, T>).cast::<DisjointSlice<'_, F16>>() };
-        let run = match (params.tile.mr, params.tile.nr) {
-            (4, 4) => run_pipelined::<WidenedF16Ops, 4, 4>,
-            (8, 4) => run_pipelined::<WidenedF16Ops, 8, 4>,
-            (4, 8) => run_pipelined::<WidenedF16Ops, 4, 8>,
-            (8, 8) => run_pipelined::<WidenedF16Ops, 8, 8>,
-            _ => panic!("unsupported tile shape {}", params.tile),
-        };
+    if let Some((a16, b16, c16)) = as_f16(a, b, c) {
+        let run = tile_fn!(params.tile, run_pipelined::<WidenedF16Ops>);
         return run(pool, a16, b16, c16, c_shape, c_layout, &params.blocks, isa);
     }
-    let run = match (params.tile.mr, params.tile.nr) {
-        (4, 4) => run_pipelined::<PlainOps<T>, 4, 4>,
-        (8, 4) => run_pipelined::<PlainOps<T>, 8, 4>,
-        (4, 8) => run_pipelined::<PlainOps<T>, 4, 8>,
-        (8, 8) => run_pipelined::<PlainOps<T>, 8, 8>,
-        _ => panic!("unsupported tile shape {}", params.tile),
-    };
+    let run = tile_fn!(params.tile, run_pipelined::<PlainOps<T>>);
     run(pool, a, b, c, c_shape, c_layout, &params.blocks, isa)
+}
+
+/// The operands re-typed as `F16` when `T` is `F16` (the widened path),
+/// `None` for every other scalar. `T` is exactly `F16` when `A`
+/// downcasts, so the owned matrices go through `Any`; `C` is only
+/// borrowed, so it cannot meet `Any`'s `'static` bound and is cast.
+#[allow(clippy::type_complexity)]
+fn as_f16<'a, 'c, T: Scalar>(
+    a: &'a Matrix<T>,
+    b: &'a Matrix<T>,
+    c: &'a DisjointSlice<'c, T>,
+) -> Option<(&'a Matrix<F16>, &'a Matrix<F16>, &'a DisjointSlice<'c, F16>)> {
+    let a16 = (a as &dyn Any).downcast_ref::<Matrix<F16>>()?;
+    let b16 = (b as &dyn Any).downcast_ref::<Matrix<F16>>()?;
+    // SAFETY: `T` is exactly `F16` (the downcast above succeeded), so the
+    // cast is the identity and the reborrow keeps the slice's lifetimes.
+    let c16 = unsafe { &*(c as *const DisjointSlice<'c, T>).cast::<DisjointSlice<'c, F16>>() };
+    Some((a16, b16, c16))
+}
+
+/// Splits rows `0..m` of `C` into the blocks parallel workers own: at
+/// most `mc` rows each (the L2 cap from [`BlockSizes`]), starting on `mr`
+/// boundaries, and balanced to within one `mr`-row micropanel. The block
+/// count is the smallest multiple of `threads` the cap allows (or one
+/// block per micropanel, if fewer), so a static split hands every worker
+/// the same number of rows to within a micropanel and the pipelined
+/// graph's per-block chains have near-equal length (the largest block
+/// bounds the parallel speed-up). Which worker owns a row never changes
+/// its accumulation order, so the split cannot affect results.
+fn row_blocks(m: usize, mr: usize, mc: usize, threads: usize) -> Vec<Range<usize>> {
+    let micropanels = m.div_ceil(mr);
+    if micropanels == 0 {
+        return Vec::new();
+    }
+    let threads = threads.max(1);
+    let cap = (mc / mr).max(1);
+    let parts = (threads * micropanels.div_ceil(threads * cap)).min(micropanels);
+    let (base, extra) = (micropanels / parts, micropanels % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|i| {
+            let end = (start + (base + usize::from(i < extra)) * mr).min(m);
+            let rows = start..end;
+            start = end;
+            rows
+        })
+        .collect()
 }
 
 fn check_shapes<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, m: usize, n: usize) {
@@ -1118,30 +1188,11 @@ pub fn gemm_rows_with_isa<T: Scalar>(
     check_shapes(a, b, m, n);
     assert_eq!(c.len(), m * n, "C storage size mismatch");
     assert!(rows.end <= m, "row range out of bounds");
-    if TypeId::of::<T>() == TypeId::of::<F16>() {
-        // `T` is exactly `F16`, so the owned matrices downcast safely
-        // through `Any`; the widened pack buffers come from the typed
-        // accessor, so no `PackArena` is ever reinterpreted across
-        // scalar types.
-        let a16 = (a as &dyn Any)
-            .downcast_ref::<Matrix<F16>>()
-            .expect("T is F16");
-        let b16 = (b as &dyn Any)
-            .downcast_ref::<Matrix<F16>>()
-            .expect("T is F16");
-        // SAFETY: `T` is exactly `F16` (checked above), so the cast is
-        // the identity; the slice's lifetime is preserved by the
-        // reborrow. (`DisjointSlice` borrows `C`, so it cannot go
-        // through `Any`'s `'static` bound like the matrices above.)
-        let c16 = unsafe { &*(c as *const DisjointSlice<'_, T>).cast::<DisjointSlice<'_, F16>>() };
+    if let Some((a16, b16, c16)) = as_f16(a, b, c) {
+        // The widened pack buffers come from the typed accessor, so no
+        // `PackArena` is ever reinterpreted across scalar types.
         let (aw, bw) = arena.widened();
-        let run = match (params.tile.mr, params.tile.nr) {
-            (4, 4) => run_blocked::<WidenedF16Ops, 4, 4>,
-            (8, 4) => run_blocked::<WidenedF16Ops, 8, 4>,
-            (4, 8) => run_blocked::<WidenedF16Ops, 4, 8>,
-            (8, 8) => run_blocked::<WidenedF16Ops, 8, 8>,
-            _ => panic!("unsupported tile shape {}", params.tile),
-        };
+        let run = tile_fn!(params.tile, run_blocked::<WidenedF16Ops>);
         return run(
             a16,
             b16,
@@ -1155,13 +1206,7 @@ pub fn gemm_rows_with_isa<T: Scalar>(
             isa,
         );
     }
-    let run = match (params.tile.mr, params.tile.nr) {
-        (4, 4) => run_blocked::<PlainOps<T>, 4, 4>,
-        (8, 4) => run_blocked::<PlainOps<T>, 8, 4>,
-        (4, 8) => run_blocked::<PlainOps<T>, 4, 8>,
-        (8, 8) => run_blocked::<PlainOps<T>, 8, 8>,
-        _ => panic!("unsupported tile shape {}", params.tile),
-    };
+    let run = tile_fn!(params.tile, run_blocked::<PlainOps<T>>);
     let (a_buf, b_buf) = PlainOps::<T>::bufs(arena);
     run(
         a,
@@ -1276,16 +1321,15 @@ pub fn gemm_with_sched<T: Scalar>(
             }
         }
         SchedMode::Barrier => {
-            let mc = params.blocks.mc;
-            let n_blocks = m.div_ceil(mc);
+            let blocks = row_blocks(m, params.tile.mr, params.blocks.mc, pool.num_threads());
             let pack_a_total = AtomicU64::new(0);
             let pack_b_total = AtomicU64::new(0);
             let micro_total = AtomicU64::new(0);
-            let region = pool.parallel_for(n_blocks, Schedule::StaticBlock, |_ctx, chunk| {
+            let region = pool.parallel_for(blocks.len(), Schedule::StaticBlock, |_ctx, chunk| {
                 if chunk.is_empty() {
                     return;
                 }
-                let rows = (chunk.start * mc)..(chunk.end * mc).min(m);
+                let rows = blocks[chunk.start].start..blocks[chunk.end - 1].end;
                 let stats = with_thread_arena(|arena| {
                     gemm_rows(a, b, &ds, (m, n), layout, rows, params, arena)
                 });
@@ -1540,6 +1584,137 @@ mod tests {
         assert_eq!(TileShape::default_for(4), TileShape { mr: 4, nr: 8 });
         assert_eq!(TileShape::default_for(2), TileShape { mr: 4, nr: 8 });
         assert_eq!(TileShape { mr: 4, nr: 8 }.name(), "4x8");
+        let avx512 = |bytes| TileShape::for_isa(Isa::Avx512, bytes);
+        assert_eq!(avx512(8), TileShape { mr: 12, nr: 16 });
+        assert_eq!(avx512(4), TileShape { mr: 12, nr: 32 });
+        assert_eq!(avx512(2), TileShape { mr: 12, nr: 32 });
+        for isa in Isa::ALL {
+            for bytes in [2, 4, 8] {
+                assert!(TileShape::ALL.contains(&TileShape::for_isa(isa, bytes)));
+            }
+        }
+    }
+
+    /// Whether `tile` dispatches a native microkernel for flavour `P`'s
+    /// packed element type under `isa`.
+    fn tile_is_native<P: PackOps>(tile: TileShape, isa: Isa) -> bool {
+        use crate::simd::is_native;
+        tile_fn!(tile, is_native::<P::Pack>)(isa)
+    }
+
+    #[test]
+    fn default_tiles_never_fall_back_to_portable() {
+        // A default tile that silently misses its ISA's lane rules would
+        // time the portable (or a half-width) kernel under a SIMD label.
+        fn check<P: PackOps>(isa: Isa) {
+            let tile = TunedParams::for_cache_isa::<P::Src>(CacheInfo::DEFAULT, isa).tile;
+            assert!(
+                tile_is_native::<P>(tile, isa),
+                "{} {tile} under {isa}",
+                P::Src::NAME
+            );
+        }
+        for isa in Isa::ALL
+            .into_iter()
+            .filter(|&i| i.available() && i != Isa::Portable)
+        {
+            check::<PlainOps<f64>>(isa);
+            check::<PlainOps<f32>>(isa);
+            check::<WidenedF16Ops>(isa);
+        }
+        // The process-wide parameters every default entry point uses.
+        let active = simd::active();
+        if active != Isa::Portable {
+            assert!(tile_is_native::<PlainOps<f64>>(
+                TunedParams::host::<f64>().tile,
+                active
+            ));
+            assert!(tile_is_native::<PlainOps<f32>>(
+                TunedParams::host::<f32>().tile,
+                active
+            ));
+            assert!(tile_is_native::<WidenedF16Ops>(
+                TunedParams::host::<F16>().tile,
+                active
+            ));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if Isa::Avx512.available() {
+            // f32 gets 16-lane zmm rows, not the 8-lane ymm kernel.
+            let tile = TileShape::for_isa(Isa::Avx512, 4);
+            assert!(
+                tile.nr.is_multiple_of(16) && tile_is_native::<PlainOps<f32>>(tile, Isa::Avx512)
+            );
+        }
+    }
+
+    #[test]
+    fn row_blocks_are_balanced_aligned_and_capped() {
+        for m in [0, 1, 13, 100, 1000, 1024] {
+            for mr in [4, 8, 12] {
+                for mc in [mr, 3 * mr, 672, 1020] {
+                    for threads in 1..=5 {
+                        let blocks = row_blocks(m, mr, mc, threads);
+                        let ctx = format!("m={m} mr={mr} mc={mc} threads={threads}");
+                        // A contiguous, ordered cover of 0..m.
+                        assert_eq!(blocks.first().map_or(0, |b| b.start), 0, "{ctx}");
+                        assert_eq!(blocks.last().map_or(0, |b| b.end), m, "{ctx}");
+                        assert!(blocks.windows(2).all(|w| w[0].end == w[1].start), "{ctx}");
+                        for b in &blocks {
+                            assert!(b.start.is_multiple_of(mr) && !b.is_empty(), "{ctx}");
+                            assert!(b.len() <= mc.max(mr), "{ctx}");
+                        }
+                        // Full blocks differ by at most one micropanel.
+                        let full = blocks.iter().filter(|b| b.end < m || m.is_multiple_of(mr));
+                        let lens: Vec<usize> = full.map(|b| b.len()).collect();
+                        if let (Some(lo), Some(hi)) = (lens.iter().min(), lens.iter().max()) {
+                            assert!(hi - lo <= mr, "{ctx}: {lens:?}");
+                        }
+                        // The count is a multiple of the team size unless
+                        // every block is already a single micropanel, and
+                        // every worker has a block once there is a
+                        // micropanel for each of them.
+                        let one_each = blocks.len() == m.div_ceil(mr);
+                        assert!(one_each || blocks.len().is_multiple_of(threads), "{ctx}");
+                        if m >= threads * mr {
+                            assert!(blocks.len() >= threads, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn balanced_split_keeps_both_schedulers_bitwise_serial() {
+        // Ragged m against the host's default tile, ragged k/n, and real
+        // cache blocking: the split changes who owns a row, never the
+        // accumulation order.
+        let params = TunedParams::host::<f64>();
+        let mr = params.tile.mr;
+        let (k, n) = (37, 29);
+        for m in [13, 100, 1000] {
+            let a = Matrix::<f64>::random(m, k, Layout::RowMajor, 21);
+            let b = Matrix::<f64>::random(k, n, Layout::RowMajor, 22);
+            let mut c_serial = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
+            gemm_serial(&a, &b, &mut c_serial, &params, &mut PackArena::new());
+            for threads in 2..=5 {
+                let pool = ThreadPool::new(threads);
+                for sched in [SchedMode::Barrier, SchedMode::Graph] {
+                    let mut c = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
+                    let region = gemm_with_sched(&pool, &a, &b, &mut c, &params, sched);
+                    assert_eq!(c_serial, c, "m={m} threads={threads} sched={sched}");
+                    if sched == SchedMode::Barrier && m >= threads * mr {
+                        let items = &region.items_per_thread;
+                        assert_eq!(items.len(), threads);
+                        assert!(
+                            items.iter().all(|&i| i > 0),
+                            "m={m} threads={threads}: {items:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -230,8 +230,7 @@ proptest! {
                 continue;
             }
             for tile in TileShape::ALL {
-                simd_vs_portable_f64(isa, tile, kb, seed);
-                simd_vs_portable_f32(isa, tile, kb, seed);
+                simd_vs_portable(isa, tile, kb, seed);
             }
         }
     }
@@ -348,73 +347,48 @@ proptest! {
     }
 }
 
-/// One f64 microkernel comparison: build ragged-friendly panels, run the
-/// `isa`-selected kernel and the portable one, bound the difference by
-/// the per-step FMA rounding budget.
-fn simd_vs_portable_f64(isa: Isa, tile: TileShape, kb: usize, seed: u64) {
-    let (ap, bp) = match tile {
-        TileShape { mr: 4, nr: 4 } => panels_f64::<4, 4>(kb, seed),
-        TileShape { mr: 8, nr: 4 } => panels_f64::<8, 4>(kb, seed),
-        TileShape { mr: 4, nr: 8 } => panels_f64::<4, 8>(kb, seed),
-        TileShape { mr: 8, nr: 8 } => panels_f64::<8, 8>(kb, seed),
-        _ => unreachable!(),
-    };
-    let tol = (kb as f64).max(1.0) * f64::EPSILON * 8.0;
-    macro_rules! check {
-        ($mr:literal, $nr:literal) => {{
-            let native = simd::select::<f64, $mr, $nr>(isa)(kb, &ap, &bp);
-            let portable = simd::portable::<f64, $mr, $nr>(kb, &ap, &bp);
-            for (nr_row, pr_row) in native.iter().zip(&portable) {
-                for (nv, pv) in nr_row.iter().zip(pr_row) {
-                    prop_assert!(
-                        (nv - pv).abs() <= tol * pv.abs().max(1.0),
-                        "{isa} f64 {tile} kb={kb}: {nv} vs {pv}"
-                    );
-                }
-            }
-        }};
-    }
-    match tile {
-        TileShape { mr: 4, nr: 4 } => check!(4, 4),
-        TileShape { mr: 8, nr: 4 } => check!(8, 4),
-        TileShape { mr: 4, nr: 8 } => check!(4, 8),
-        TileShape { mr: 8, nr: 8 } => check!(8, 8),
-        _ => unreachable!(),
+/// Native vs portable microkernels for one tile: build pseudo-random
+/// panels, run the `isa`-selected kernel and the portable one at both
+/// hardware precisions, bound the difference by the per-step FMA
+/// rounding budget.
+fn simd_vs_portable(isa: Isa, tile: TileShape, kb: usize, seed: u64) {
+    match (tile.mr, tile.nr) {
+        (4, 4) => simd_vs_portable_tile::<4, 4>(isa, kb, seed),
+        (8, 4) => simd_vs_portable_tile::<8, 4>(isa, kb, seed),
+        (4, 8) => simd_vs_portable_tile::<4, 8>(isa, kb, seed),
+        (8, 8) => simd_vs_portable_tile::<8, 8>(isa, kb, seed),
+        (12, 16) => simd_vs_portable_tile::<12, 16>(isa, kb, seed),
+        (12, 32) => simd_vs_portable_tile::<12, 32>(isa, kb, seed),
+        _ => panic!("no microkernel comparison for tile {tile}"),
     }
 }
 
-/// As [`simd_vs_portable_f64`] for f32 panels.
-fn simd_vs_portable_f32(isa: Isa, tile: TileShape, kb: usize, seed: u64) {
-    let (ap64, bp64) = match tile {
-        TileShape { mr: 4, nr: 4 } => panels_f64::<4, 4>(kb, seed),
-        TileShape { mr: 8, nr: 4 } => panels_f64::<8, 4>(kb, seed),
-        TileShape { mr: 4, nr: 8 } => panels_f64::<4, 8>(kb, seed),
-        TileShape { mr: 8, nr: 8 } => panels_f64::<8, 8>(kb, seed),
-        _ => unreachable!(),
-    };
-    let ap: Vec<f32> = ap64.iter().map(|&x| x as f32).collect();
-    let bp: Vec<f32> = bp64.iter().map(|&x| x as f32).collect();
-    let tol = (kb as f32).max(1.0) * f32::EPSILON * 8.0;
-    macro_rules! check {
-        ($mr:literal, $nr:literal) => {{
-            let native = simd::select::<f32, $mr, $nr>(isa)(kb, &ap, &bp);
-            let portable = simd::portable::<f32, $mr, $nr>(kb, &ap, &bp);
-            for (nr_row, pr_row) in native.iter().zip(&portable) {
-                for (nv, pv) in nr_row.iter().zip(pr_row) {
-                    prop_assert!(
-                        (nv - pv).abs() <= tol * pv.abs().max(1.0),
-                        "{isa} f32 {tile} kb={kb}: {nv} vs {pv}"
-                    );
-                }
-            }
-        }};
+fn simd_vs_portable_tile<const MR: usize, const NR: usize>(isa: Isa, kb: usize, seed: u64) {
+    let (ap, bp) = panels_f64::<MR, NR>(kb, seed);
+    let tol = (kb as f64).max(1.0) * f64::EPSILON * 8.0;
+    let native = simd::select::<f64, MR, NR>(isa)(kb, &ap, &bp);
+    let portable = simd::portable::<f64, MR, NR>(kb, &ap, &bp);
+    for (nr_row, pr_row) in native.iter().zip(&portable) {
+        for (nv, pv) in nr_row.iter().zip(pr_row) {
+            prop_assert!(
+                (nv - pv).abs() <= tol * pv.abs().max(1.0),
+                "{isa} f64 {MR}x{NR} kb={kb}: {nv} vs {pv}"
+            );
+        }
     }
-    match tile {
-        TileShape { mr: 4, nr: 4 } => check!(4, 4),
-        TileShape { mr: 8, nr: 4 } => check!(8, 4),
-        TileShape { mr: 4, nr: 8 } => check!(4, 8),
-        TileShape { mr: 8, nr: 8 } => check!(8, 8),
-        _ => unreachable!(),
+
+    let ap: Vec<f32> = ap.iter().map(|&x| x as f32).collect();
+    let bp: Vec<f32> = bp.iter().map(|&x| x as f32).collect();
+    let tol = (kb as f32).max(1.0) * f32::EPSILON * 8.0;
+    let native = simd::select::<f32, MR, NR>(isa)(kb, &ap, &bp);
+    let portable = simd::portable::<f32, MR, NR>(kb, &ap, &bp);
+    for (nr_row, pr_row) in native.iter().zip(&portable) {
+        for (nv, pv) in nr_row.iter().zip(pr_row) {
+            prop_assert!(
+                (nv - pv).abs() <= tol * pv.abs().max(1.0),
+                "{isa} f32 {MR}x{NR} kb={kb}: {nv} vs {pv}"
+            );
+        }
     }
 }
 
