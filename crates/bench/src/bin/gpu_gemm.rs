@@ -316,11 +316,6 @@ fn json_snapshot(
         out,
         "  \"protocol\": {{\"reps\": {reps}, \"warmup_runs\": 1, \"metric\": \"sim_gflops\", \"spread\": \"rel_half_range\"}},"
     );
-    let _ = writeln!(
-        out,
-        "  \"sched\": {},",
-        perfport_bench::sched_totals_json_since(epoch)
-    );
     let _ = writeln!(out, "  \"telemetry\":");
     let _ = writeln!(
         out,
@@ -405,13 +400,12 @@ fn json_snapshot(
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let sched = args.apply_sched();
     let trace = args.start_trace();
     let reps = if args.quick { 3 } else { 5 };
     let workers = args.thread_count();
     let manifest = Manifest::collect(workers);
     println!(
-        "gpusim bench: {reps} reps after warm-up; naive block {}x{}, tile {TILE}; scheduler: {sched}\n",
+        "gpusim bench: {reps} reps after warm-up; naive block {}x{}, tile {TILE}\n",
         NAIVE_BLOCK.x, NAIVE_BLOCK.y
     );
     // Telemetry epoch: everything stamped into the snapshot is a delta

@@ -40,21 +40,21 @@
 //!
 //! One failure mode: `--inject-panic <req_id>` submits a deliberately
 //! panicking task into the work queue alongside the batch containing
-//! that request (barrier scheduler only). The panic poisons the queue,
+//! that request. The panic poisons the queue,
 //! the flight recorder dumps `flight-<pid>.json`, and the process dies
 //! non-zero — the post-mortem path CI exercises end to end.
 
 use perfport_bench::{HarnessArgs, Manifest};
 use perfport_core::noise;
 use perfport_gemm::{batch, Layout, Matrix};
-use perfport_pool::{SchedMode, ThreadPool, WorkQueue};
+use perfport_pool::{ThreadPool, WorkQueue};
 use rand::Rng;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const USAGE: &str =
     "usage: serve_gemm [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile] \
-     [--sched barrier|graph] [--seed <u64>] [--requests <n>] [--rate <req/s>] [--batch <max>] \
+     [--seed <u64>] [--requests <n>] [--rate <req/s>] [--batch <max>] \
      [--jobs <n>] [--dry-run] [--verify] [--inject-panic <req_id>] [--out <path>]";
 
 /// Modelled server throughput for `--dry-run` service times (GFLOP/s).
@@ -384,7 +384,6 @@ fn serve(
     batch_max: usize,
     pool: &ThreadPool,
     verify: bool,
-    sched: SchedMode,
     inject_panic: Option<usize>,
 ) -> ServeSummary {
     let queue = WorkQueue::new();
@@ -392,34 +391,21 @@ fn serve(
     let mut verified = 0usize;
     for reqs in stream.chunks(batch_max) {
         let problems: Vec<batch::Problem> = reqs.iter().map(|r| materialize(seed, r)).collect();
-        // Barrier mode serves through the WorkQueue (enqueue + drain, one
-        // barrier per batch); graph mode runs the batch as independent
-        // task-graph tasks. Both execute the canonical bucketed order,
-        // so the outputs are bitwise identical either way.
-        let (outputs, service_ns, serial) = match sched {
-            SchedMode::Barrier => {
-                let t0 = Instant::now();
-                let ticket = batch::enqueue_batch(&queue, problems);
-                if let Some(target) = inject_panic {
-                    if reqs.iter().any(|r| r.id == target) {
-                        queue.submit(move || {
-                            panic!("injected panic at request {target}");
-                        });
-                    }
-                }
-                queue.drain(pool);
-                let service_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                let serial = verify.then(|| batch::gemm_batch_serial(ticket.problems()));
-                (ticket.collect(), service_ns, serial)
+        // Served through the WorkQueue: enqueue the canonical bucketed
+        // order, then drain it on the pool (one barrier per batch).
+        let t0 = Instant::now();
+        let ticket = batch::enqueue_batch(&queue, problems);
+        if let Some(target) = inject_panic {
+            if reqs.iter().any(|r| r.id == target) {
+                queue.submit(move || {
+                    panic!("injected panic at request {target}");
+                });
             }
-            SchedMode::Graph => {
-                let t0 = Instant::now();
-                let outputs = batch::gemm_batch_with(pool, &problems, sched);
-                let service_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                let serial = verify.then(|| batch::gemm_batch_serial(&problems));
-                (outputs, service_ns, serial)
-            }
-        };
+        }
+        queue.drain(pool);
+        let service_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let serial = verify.then(|| batch::gemm_batch_serial(ticket.problems()));
+        let outputs = ticket.collect();
         if let Some(serial) = serial {
             for (i, (b, s)) in outputs.iter().zip(&serial).enumerate() {
                 assert_eq!(
@@ -481,11 +467,6 @@ fn json_snapshot(
         out,
         "  \"sustained_gflops\": {:.4},",
         summary.sustained_gflops()
-    );
-    let _ = writeln!(
-        out,
-        "  \"sched\": {},",
-        perfport_bench::sched_totals_json_since(epoch)
     );
     let _ = writeln!(out, "  \"telemetry\":");
     let _ = writeln!(
@@ -561,12 +542,6 @@ fn main() {
         return;
     }
 
-    let sched = args.apply_sched();
-    if serve_args.inject_panic.is_some() && sched != SchedMode::Barrier {
-        eprintln!("error: --inject-panic rides the work queue; it requires the barrier scheduler");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
     if let Some(target) = serve_args.inject_panic {
         if target >= stream.len() {
             eprintln!(
@@ -584,14 +559,14 @@ fn main() {
     let mut manifest = Manifest::collect(jobs);
     manifest.jobs = Some(jobs);
     println!(
-        "== serve_gemm (seed {}, {} requests, rate {} req/s, batch max {}, {jobs} jobs, {sched} scheduler) ==",
+        "== serve_gemm (seed {}, {} requests, rate {} req/s, batch max {}, {jobs} jobs) ==",
         serve_args.seed,
         stream.len(),
         serve_args.rate,
         serve_args.batch_max
     );
-    // Telemetry epoch: the snapshot's `sched` and `telemetry` blocks are
-    // deltas from here, so pool construction stays out of the evidence.
+    // Telemetry epoch: the snapshot's `telemetry` block is a delta from
+    // here, so pool construction stays out of the evidence.
     let epoch = perfport_bench::telemetry_epoch();
     let summary = serve(
         &stream,
@@ -599,7 +574,6 @@ fn main() {
         serve_args.batch_max,
         &pool,
         serve_args.verify,
-        sched,
         serve_args.inject_panic,
     );
     summary.print("measured");

@@ -7,7 +7,8 @@
 //! *committed* spreads rather than a blanket percentage: a cell whose
 //! reps scattered ±8% must not fail CI on a 6% dip, while a rock-steady
 //! cell should. Cells with no spread evidence at all (schema `/1` files,
-//! single-rep runs) fall back to the blanket [`SPREADLESS_FLOOR`].
+//! single-rep runs) fall back to the blanket [`SPREADLESS_FLOOR`], and no
+//! spread, however wide, loosens a cell past [`SPREAD_CAP`].
 
 use perfport_trace::json::{self, Json};
 use std::collections::BTreeMap;
@@ -72,10 +73,6 @@ pub struct Snapshot {
     /// embedded manifest's `simd_isa` field (`/2` snapshots produced
     /// since the dispatcher landed); `None` for older files.
     pub simd_isa: Option<String>,
-    /// Scheduler discipline of the producing run (`"barrier"` /
-    /// `"graph"`), from the embedded manifest's `sched` field; `None`
-    /// for files that predate the scheduler dispatch.
-    pub sched: Option<String>,
     /// The run's always-on runtime telemetry (schema `gemm/3` and
     /// `serve/2` snapshots), parsed leniently: telemetry is supporting
     /// evidence, never a gated metric, so a missing or malformed block
@@ -193,7 +190,6 @@ fn parse_serve(
     schema: String,
     quick: bool,
     simd_isa: Option<String>,
-    sched: Option<String>,
     telemetry: Option<perfport_telemetry::Snapshot>,
 ) -> Result<Snapshot, String> {
     let requests = doc
@@ -230,7 +226,6 @@ fn parse_serve(
         kind: SnapshotKind::Serve,
         quick,
         simd_isa,
-        sched,
         telemetry,
         points: vec![SnapshotPoint {
             n: requests,
@@ -260,14 +255,9 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
         .and_then(|m| m.get("simd_isa"))
         .and_then(Json::as_str)
         .map(str::to_string);
-    let sched = doc
-        .get("manifest")
-        .and_then(|m| m.get("sched"))
-        .and_then(Json::as_str)
-        .map(str::to_string);
     let telemetry = parse_telemetry(&doc);
     if schema.starts_with("perfport-bench-serve/") {
-        return parse_serve(&doc, schema, quick, simd_isa, sched, telemetry);
+        return parse_serve(&doc, schema, quick, simd_isa, telemetry);
     }
     let kind = if schema.starts_with("perfport-bench-gemm/") {
         SnapshotKind::Gemm
@@ -288,7 +278,6 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
         kind,
         quick,
         simd_isa,
-        sched,
         telemetry,
         points,
     })
@@ -302,6 +291,13 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
 /// still wins.
 pub const SPREADLESS_FLOOR: f64 = 0.05;
 
+/// Upper bound on the spread-derived part of a cell's tolerance: the
+/// largest relative worsening `BENCHMARK.json` allows any end-to-end
+/// metric. Without it a cell whose committed reps scattered widely gets a
+/// tolerance past 50%, and a 1.5× (or even 2×) slowdown passes as noise.
+/// An explicitly configured floor above the cap still wins.
+pub const SPREAD_CAP: f64 = 0.25;
+
 /// Threshold policy for [`diff`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffConfig {
@@ -310,7 +306,8 @@ pub struct DiffConfig {
     /// (different machine load, frequency scaling).
     pub floor: f64,
     /// Multiplier on the summed rep spreads of the two snapshots; the
-    /// effective threshold is `max(floor, factor × (spread_a + spread_b))`.
+    /// effective threshold is
+    /// `max(floor, min(SPREAD_CAP, factor × (spread_a + spread_b)))`.
     pub spread_factor: f64,
 }
 
@@ -375,7 +372,9 @@ pub fn diff(base: &Snapshot, cand: &Snapshot, cfg: &DiffConfig) -> Vec<DiffEntry
             }
             let spread_sum = bp.spread.get(variant).copied().unwrap_or(0.0)
                 + cp.spread.get(variant).copied().unwrap_or(0.0);
-            let mut threshold = (cfg.spread_factor * spread_sum).max(cfg.floor);
+            let mut threshold = (cfg.spread_factor * spread_sum)
+                .min(SPREAD_CAP)
+                .max(cfg.floor);
             if spread_sum <= 0.0 {
                 // No noise evidence on either side: the documented
                 // blanket percentage, not an infinitely strict gate.
@@ -456,24 +455,26 @@ mod tests {
     }
 
     #[test]
-    fn sched_is_read_from_the_manifest_when_present() {
-        // Pre-scheduler snapshots carry no sched field: None, not an error.
-        assert_eq!(parse_snapshot(V2).unwrap().sched, None);
-        let with_manifest = V2.replacen(
+    fn legacy_sched_fields_are_ignored() {
+        // Snapshots recorded while the process could pick a scheduler
+        // carry `manifest.sched` and a top-level `sched` block; both are
+        // skipped, never an error.
+        let legacy = V2.replacen(
             "\"quick\": true,",
-            "\"quick\": true,\n      \"manifest\": {\"schema\": \"perfport-manifest/1\", \"simd_isa\": \"avx2\", \"sched\": \"graph\"},",
+            "\"quick\": true,\n      \"manifest\": {\"schema\": \"perfport-manifest/1\", \"simd_isa\": \"avx2\", \"sched\": \"graph\"},\n      \"sched\": {\"mode\": \"graph\", \"barrier_wait_ns\": 0, \"idle_ns\": 5},",
             1,
         );
-        let snap = parse_snapshot(&with_manifest).unwrap();
-        assert_eq!(snap.sched.as_deref(), Some("graph"));
+        let snap = parse_snapshot(&legacy).unwrap();
+        assert_eq!(snap.simd_isa.as_deref(), Some("avx2"));
+        assert_eq!(snap.points, parse_snapshot(V2).unwrap().points);
         let serve = SERVE.replacen(
             "\"simd_isa\": \"avx2\"",
             "\"simd_isa\": \"avx2\", \"sched\": \"barrier\"",
             1,
         );
         assert_eq!(
-            parse_snapshot(&serve).unwrap().sched.as_deref(),
-            Some("barrier")
+            parse_snapshot(&serve).unwrap().points,
+            parse_snapshot(SERVE).unwrap().points
         );
     }
 
@@ -602,16 +603,30 @@ mod tests {
     }
 
     #[test]
-    fn noisy_cells_get_wider_thresholds() {
+    fn noisy_cells_get_wider_thresholds_up_to_the_cap() {
         let base = parse_snapshot(V2).unwrap();
-        // julia scattered ±8% in both runs: threshold 2·0.16 = 32%, so a
-        // 10% dip is noise, not a regression.
+        // julia scattered ±8% in both runs: threshold 2·0.16 = 32%,
+        // capped at 25%, so a 10% dip is noise, not a regression...
         let mut cand = parse_snapshot(V2).unwrap();
         cand.points[0].gflops.insert("julia".to_string(), 3.6);
         let entries = diff(&base, &cand, &DiffConfig::default());
         let julia = entries.iter().find(|e| e.variant == "julia").unwrap();
         assert_eq!(julia.verdict, Verdict::Ok);
-        assert!(julia.threshold > 0.3);
+        assert!((julia.threshold - SPREAD_CAP).abs() < 1e-12);
+        // ...but a 1.5× slowdown (-33%) is.
+        cand.points[0].gflops.insert("julia".to_string(), 4.0 / 1.5);
+        let entries = diff(&base, &cand, &DiffConfig::default());
+        let julia = entries.iter().find(|e| e.variant == "julia").unwrap();
+        assert_eq!(julia.verdict, Verdict::Regressed);
+        // An explicit floor above the cap keeps its meaning.
+        let wide = DiffConfig {
+            floor: 0.40,
+            spread_factor: 2.0,
+        };
+        let entries = diff(&base, &cand, &wide);
+        let julia = entries.iter().find(|e| e.variant == "julia").unwrap();
+        assert!((julia.threshold - 0.40).abs() < 1e-12);
+        assert_eq!(julia.verdict, Verdict::Ok);
     }
 
     #[test]
@@ -706,7 +721,7 @@ mod tests {
     const GPU: &str = r#"{
       "schema": "perfport-bench-gpu/1",
       "quick": false,
-      "manifest": {"schema": "perfport-manifest/1", "simd_isa": "avx2", "sched": "graph"},
+      "manifest": {"schema": "perfport-manifest/1", "simd_isa": "avx2"},
       "headroom": {"a100": {"FP64": 4.0}, "mi250x": {"FP64": 15.1}},
       "points": [
         {"n": 64, "precision": "FP64",
@@ -724,7 +739,6 @@ mod tests {
         let snap = parse_snapshot(GPU).unwrap();
         assert_eq!(snap.schema, "perfport-bench-gpu/1");
         assert_eq!(snap.kind, SnapshotKind::Gpu);
-        assert_eq!(snap.sched.as_deref(), Some("graph"));
         assert_eq!(snap.points.len(), 1);
         let p = &snap.points[0];
         assert_eq!(p.gflops["cuda"], 0.08);

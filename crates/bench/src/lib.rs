@@ -34,12 +34,11 @@ use perfport_core::{
 use std::path::PathBuf;
 
 /// The usage line shared by every regeneration binary.
-pub const USAGE: &str =
-    "usage: [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile] [--sched barrier|graph]";
+pub const USAGE: &str = "usage: [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile]";
 
 /// The usage line for the figure binaries, which also shard and select
 /// the vendor baseline for the GPU efficiency rows.
-pub const STUDY_USAGE: &str = "usage: [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile] [--sched barrier|graph] [--shard <i/n>] [--jobs <n>] [--baseline measured|modelled]";
+pub const STUDY_USAGE: &str = "usage: [--quick] [--csv] [--threads <n>] [--trace <path>] [--profile] [--shard <i/n>] [--jobs <n>] [--baseline measured|modelled]";
 
 /// Command-line options shared by the regeneration binaries.
 #[derive(Debug, Clone, Default)]
@@ -54,9 +53,6 @@ pub struct HarnessArgs {
     pub trace: Option<PathBuf>,
     /// Read hardware counters around pool regions and kernel sweeps.
     pub profile: bool,
-    /// `--sched` override for the process scheduler (`None`: let
-    /// `PERFPORT_SCHED` / the default decide).
-    pub sched: Option<perfport_pool::SchedMode>,
     /// `--help`/`-h` was given; [`HarnessArgs::parse`] prints usage and
     /// exits before a binary ever observes this set.
     pub help: bool,
@@ -104,17 +100,11 @@ impl HarnessArgs {
                     Some(path) => out.trace = Some(PathBuf::from(path)),
                     None => return Err("--trace requires a path argument".to_string()),
                 },
-                "--sched" => match it.next() {
-                    Some(name) => out.sched = Some(perfport_pool::sched::resolve(Some(&name))?),
-                    None => return Err("--sched requires a mode argument".to_string()),
-                },
                 other => {
                     if let Some(n) = other.strip_prefix("--threads=") {
                         out.threads = Some(parse_thread_count(n)?);
                     } else if let Some(path) = other.strip_prefix("--trace=") {
                         out.trace = Some(PathBuf::from(path));
-                    } else if let Some(name) = other.strip_prefix("--sched=") {
-                        out.sched = Some(perfport_pool::sched::resolve(Some(name))?);
                     } else if !extra(other, &mut || it.next())? {
                         return Err(format!("unknown argument '{other}'"));
                     }
@@ -155,17 +145,6 @@ impl HarnessArgs {
     /// Parses from the process arguments.
     pub fn from_env() -> Self {
         Self::parse(std::env::args().skip(1))
-    }
-
-    /// Pins the process scheduler when `--sched` was given (the CLI
-    /// takes precedence over `PERFPORT_SCHED`) and returns the active
-    /// mode either way. Binaries call this once, early, so every pool
-    /// region and the provenance manifest see the same verdict.
-    pub fn apply_sched(&self) -> perfport_pool::SchedMode {
-        if let Some(mode) = self.sched {
-            perfport_pool::sched::force(mode);
-        }
-        perfport_pool::sched::active()
     }
 
     /// Enables hardware-counter profiling when `--profile` was given,
@@ -358,45 +337,22 @@ impl TraceOutput {
     }
 }
 
-/// The process-wide monotonic aggregates captured at a measurement
-/// phase boundary: scheduler overhead totals, the tuned GEMM's
-/// pack-overlap counter, and the full telemetry snapshot.
+/// The telemetry snapshot captured at a measurement phase boundary.
 ///
-/// The underlying counters only grow for the process lifetime, so a
-/// binary that stamps them directly over-reports whenever warm-up,
+/// Telemetry counters only grow for the process lifetime, so a binary
+/// that stamps them directly over-reports whenever warm-up,
 /// verification, or an earlier phase ran in the same process. Capture
-/// an epoch when measurement starts and stamp the *deltas*
-/// ([`sched_totals_json_since`], [`telemetry_json_since`]) instead.
+/// an epoch when measurement starts and stamp the *delta*
+/// ([`telemetry_json_since`]) instead.
 pub struct TelemetryEpoch {
-    sched: perfport_pool::SchedTotals,
-    pack_overlap_ns: u64,
     telemetry: perfport_telemetry::Snapshot,
 }
 
-/// Captures the current aggregates as a [`TelemetryEpoch`].
+/// Captures the current telemetry as a [`TelemetryEpoch`].
 pub fn telemetry_epoch() -> TelemetryEpoch {
     TelemetryEpoch {
-        sched: perfport_pool::sched_totals(),
-        pack_overlap_ns: perfport_gemm::tuned::pack_overlap_ns(),
         telemetry: perfport_telemetry::snapshot(),
     }
-}
-
-/// One-line JSON object summarising the run's scheduler evidence: the
-/// active mode plus the aggregates the pool and the tuned GEMM
-/// accumulated **since `epoch`** (`pool/barrier_wait_ns`,
-/// `pool/idle_ns`, `gemm/tuned_pack_overlap_ns`). Both snapshot
-/// binaries stamp this so an A/B of `--sched barrier` vs
-/// `--sched graph` artifacts shows where the worker time went.
-pub fn sched_totals_json_since(epoch: &TelemetryEpoch) -> String {
-    let totals = perfport_pool::sched_totals().delta_since(epoch.sched);
-    format!(
-        "{{\"mode\": \"{}\", \"barrier_wait_ns\": {}, \"idle_ns\": {}, \"pack_overlap_ns\": {}}}",
-        perfport_pool::sched::active().name(),
-        totals.barrier_wait_ns,
-        totals.idle_ns,
-        perfport_gemm::tuned::pack_overlap_ns().saturating_sub(epoch.pack_overlap_ns)
-    )
 }
 
 /// The merged telemetry recorded since `epoch`, serialized as the
@@ -405,19 +361,6 @@ pub fn telemetry_json_since(epoch: &TelemetryEpoch, indent: &str) -> String {
     perfport_telemetry::snapshot()
         .delta_since(&epoch.telemetry)
         .to_json(indent)
-}
-
-/// [`sched_totals_json_since`] from process start (a zero epoch) — the
-/// process-lifetime totals, kept for callers without a phase boundary.
-pub fn sched_totals_json() -> String {
-    let totals = perfport_pool::sched_totals();
-    format!(
-        "{{\"mode\": \"{}\", \"barrier_wait_ns\": {}, \"idle_ns\": {}, \"pack_overlap_ns\": {}}}",
-        perfport_pool::sched::active().name(),
-        totals.barrier_wait_ns,
-        totals.idle_ns,
-        perfport_gemm::tuned::pack_overlap_ns()
-    )
 }
 
 fn parse_thread_count(s: &str) -> Result<usize, String> {
@@ -468,7 +411,6 @@ pub fn print_study(ids: &[&str], args: &HarnessArgs, study: &ShardArgs) {
     if !study.is_sharded() {
         return print_panels_with(ids, args, study.baseline());
     }
-    args.apply_sched();
     args.start_profiling();
     let shard = study.shard();
     let jobs = study.jobs();
@@ -505,7 +447,6 @@ pub fn print_panels(ids: &[&str], args: &HarnessArgs) {
 /// gpusim simulator, `BENCH_gpu.json`) — or by the naive modelled
 /// reference alone under `--baseline modelled`, labeled as such.
 pub fn print_panels_with(ids: &[&str], args: &HarnessArgs, baseline: HostBaseline) {
-    args.apply_sched();
     args.start_profiling();
     let trace = args.start_trace_with(|m| {
         m.baseline = Some(baseline.label().to_string());
@@ -600,23 +541,6 @@ mod tests {
         assert!(b.quick);
         // A dangling --trace is now a hard error, like any malformed flag.
         assert!(parse_err(&["--trace"]).contains("path"));
-    }
-
-    #[test]
-    fn sched_flag_parses_in_both_spellings() {
-        use perfport_pool::SchedMode;
-        assert_eq!(
-            parse_ok(&["--sched", "barrier"]).sched,
-            Some(SchedMode::Barrier)
-        );
-        assert_eq!(parse_ok(&["--sched=graph"]).sched, Some(SchedMode::Graph));
-        // "auto" is an explicit request for the default.
-        assert_eq!(parse_ok(&["--sched", "auto"]).sched, Some(SchedMode::Graph));
-        assert_eq!(parse_ok(&[]).sched, None);
-        assert!(parse_err(&["--sched"]).contains("mode"));
-        let err = parse_err(&["--sched", "workstealing"]);
-        assert!(err.contains("workstealing") && err.contains("barrier"));
-        assert!(USAGE.contains("--sched") && STUDY_USAGE.contains("--sched"));
     }
 
     #[test]

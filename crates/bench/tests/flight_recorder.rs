@@ -30,8 +30,6 @@ fn injected_panic_dumps_a_parseable_flight_recording() {
             "40",
             "--jobs",
             "2",
-            "--sched",
-            "barrier",
             "--inject-panic",
             "7",
             "--out",

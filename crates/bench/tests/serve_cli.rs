@@ -156,6 +156,7 @@ fn flag_rejection_and_help() {
         vec!["--dry-run", "--verify"],
         vec!["--dry-run", "--inject-panic", "3"],
         vec!["--inject-panic", "banana"],
+        // An unknown flag ahead of a valid one.
         vec!["--quick", "--sched", "graph", "--inject-panic", "3"],
         vec!["--quick", "--requests", "8", "--inject-panic", "99"],
     ] {

@@ -39,7 +39,7 @@ use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use crate::tuned::{gemm_serial, with_thread_arena, TunedParams};
 use perfport_half::F16;
-use perfport_pool::{SchedMode, Schedule, ThreadPool, WorkQueue};
+use perfport_pool::{Schedule, ThreadPool, WorkQueue};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -289,35 +289,22 @@ fn execution_order(problems: &[Problem]) -> Vec<(usize, TunedParams)> {
 }
 
 /// Executes a batch of problems on the pool and returns outputs in
-/// submission order, under the process-wide scheduler verdict
-/// ([`perfport_pool::sched::active`]).
+/// submission order.
 ///
-/// Work items are whole problems in canonical bucket order; each worker
+/// Work items are whole problems in canonical bucket order, dispatched
+/// through one `parallel_map` with `Schedule::Dynamic { chunk: 1 }` (one
+/// implicit end barrier per batch), so a worker that drew a large
+/// problem does not hold back the small ones behind it. Each worker
 /// packs through its reusable thread-local arena, so a steady stream of
 /// batches never reallocates pack buffers after warm-up. Outputs are
-/// bitwise identical to [`gemm_batch_serial`] for any worker count and
-/// either scheduler (see the module docs).
+/// bitwise identical to [`gemm_batch_serial`] for any worker count (see
+/// the module docs).
 pub fn gemm_batch(pool: &ThreadPool, problems: &[Problem]) -> Vec<Output> {
-    gemm_batch_with(pool, problems, perfport_pool::sched::active())
-}
-
-/// [`gemm_batch`] with an explicit scheduler: `Barrier` dispatches
-/// whole problems through `parallel_map` (one implicit end barrier per
-/// batch), `Graph` runs them as independent [`TaskGraph`] tasks drained
-/// without a barrier, so a straggler problem no longer idles the team
-/// against the region join.
-///
-/// [`TaskGraph`]: perfport_pool::TaskGraph
-pub fn gemm_batch_with(pool: &ThreadPool, problems: &[Problem], sched: SchedMode) -> Vec<Output> {
     let exec = execution_order(problems);
-    let run = |i: usize| {
+    let results = pool.parallel_map(exec.len(), Schedule::Dynamic { chunk: 1 }, |i| {
         let (idx, params) = &exec[i];
         (*idx, run_problem(&problems[*idx], params))
-    };
-    let results = match sched {
-        SchedMode::Barrier => pool.parallel_map(exec.len(), Schedule::Dynamic { chunk: 1 }, run),
-        SchedMode::Graph => pool.graph_map(exec.len(), run),
-    };
+    });
     scatter(problems.len(), results)
 }
 
@@ -477,20 +464,18 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_match_serial_bitwise() {
+    fn batch_matches_serial_bitwise_at_1_2_7_threads() {
         let problems = mixed_batch(31);
         let serial = gemm_batch_serial(&problems);
         for threads in [1, 2, 7] {
             let pool = ThreadPool::new(threads);
-            for sched in [SchedMode::Barrier, SchedMode::Graph] {
-                let batch = gemm_batch_with(&pool, &problems, sched);
-                for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
-                    assert_eq!(
-                        b.to_le_bytes(),
-                        s.to_le_bytes(),
-                        "problem {i} diverged at {threads} threads under {sched:?}"
-                    );
-                }
+            let batch = gemm_batch(&pool, &problems);
+            for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
+                assert_eq!(
+                    b.to_le_bytes(),
+                    s.to_le_bytes(),
+                    "problem {i} diverged at {threads} threads"
+                );
             }
         }
     }

@@ -49,17 +49,14 @@ use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use crate::simd::{self, Isa};
 use perfport_half::F16;
-use perfport_pool::{
-    CacheInfo, DisjointSlice, GraphStats, RegionStats, SchedMode, Schedule, TaskGraph, TaskId,
-    ThreadPool,
-};
+use perfport_pool::{CacheInfo, DisjointSlice, RegionStats, Schedule, ThreadPool};
 use std::any::{Any, TypeId};
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The supported register tiles as `(MR, NR)` pairs, in ablation order.
 /// [`TileShape::ALL`] and every monomorphised dispatch (`tile_fn!`)
@@ -502,12 +499,17 @@ fn pack_b<T: Scalar>(
         let live = nr.min(j0 + nb - base_col);
         for p in 0..kb {
             let row_off = (p0 + p) * rs;
-            for c in 0..live {
-                dst[off + c] = bd[row_off + (base_col + c) * cs];
+            let row = &mut dst[off..off + nr];
+            if cs == 1 {
+                // Row-major B: a micropanel row is contiguous in the source.
+                let src = row_off + base_col;
+                row[..live].copy_from_slice(&bd[src..src + live]);
+            } else {
+                for (c, d) in row[..live].iter_mut().enumerate() {
+                    *d = bd[row_off + (base_col + c) * cs];
+                }
             }
-            for c in live..nr {
-                dst[off + c] = T::zero();
-            }
+            row[live..].fill(T::zero());
             off += nr;
         }
     }
@@ -595,10 +597,9 @@ fn pack_b_f16(
 // ------------------------------------------------------------- driver --
 
 /// The scalar-flavour hooks of the blocked loop nest: how `A`/`B` panels
-/// are packed (possibly widened), how an accumulator value lands in `C`,
-/// and which arena buffers the packs use. The loop nest itself is
-/// written exactly once ([`run_blocked`], [`compute_block`],
-/// [`run_pipelined`]) and parameterized over an implementation:
+/// are packed (possibly widened) and how an accumulator value lands in
+/// `C`. The loop nest itself is written exactly once ([`run_blocked`],
+/// [`compute_block`]) and parameterized over an implementation:
 ///
 /// * [`PlainOps`] — `f64`/`f32` (and any hardware float): packs copy,
 ///   the accumulator adds in place.
@@ -639,11 +640,6 @@ trait PackOps {
 
     /// Accumulates one microkernel output element into `C`.
     fn accumulate(c: &mut Self::Src, v: Self::Pack);
-
-    /// The arena buffers (`A`, `B`) this flavour packs into.
-    fn bufs(
-        arena: &mut PackArena<Self::Src>,
-    ) -> (&mut AlignedBuf<Self::Pack>, &mut AlignedBuf<Self::Pack>);
 }
 
 /// [`PackOps`] for scalars whose packed panels hold the scalar itself.
@@ -680,10 +676,6 @@ impl<T: Scalar> PackOps for PlainOps<T> {
     #[inline(always)]
     fn accumulate(c: &mut T, v: T) {
         *c += v;
-    }
-
-    fn bufs(arena: &mut PackArena<T>) -> (&mut AlignedBuf<T>, &mut AlignedBuf<T>) {
-        (&mut arena.a, &mut arena.b)
     }
 }
 
@@ -723,10 +715,6 @@ impl PackOps for WidenedF16Ops {
     fn accumulate(c: &mut F16, v: f32) {
         *c = F16::from_f32(c.to_f32() + v);
     }
-
-    fn bufs(arena: &mut PackArena<F16>) -> (&mut AlignedBuf<f32>, &mut AlignedBuf<f32>) {
-        arena.widened()
-    }
 }
 
 /// One `(jc, p0)` cache panel of the blocked loop nest: column offset and
@@ -741,8 +729,8 @@ struct Panel {
 
 /// The `(jc, p0)` panels of an `n×k` iteration space in the serial loop
 /// order (`jc` outer, `p0` inner) — the accumulation order per `C`
-/// element is a fixed function of this enumeration, which both
-/// schedulers share.
+/// element is a fixed function of this enumeration, whichever worker
+/// owns the row.
 fn panels(n: usize, k: usize, blocks: &BlockSizes) -> Vec<Panel> {
     let mut out = Vec::new();
     for jc in (0..n).step_by(blocks.nc) {
@@ -757,15 +745,17 @@ fn panels(n: usize, k: usize, blocks: &BlockSizes) -> Vec<Panel> {
 
 /// Packs `A` and runs the register-tiled contraction of one `Mc` row
 /// block against an already-packed `B` panel, accumulating into `C`.
-/// Shared verbatim by the barrier-mode loop nest ([`run_blocked`]) and
-/// the pipelined graph tasks ([`run_pipelined`]) — per `C` element the
-/// accumulation order is fixed by the panel enumeration and this
-/// function alone, which is what keeps the two schedulers
-/// bitwise-identical.
+/// Per `C` element the accumulation order is fixed by the panel
+/// enumeration and this function alone, which is what keeps serial and
+/// parallel runs bitwise-identical.
+///
+/// Kept out of line: inlined into its one caller, [`run_blocked`], the
+/// n = 1024 tuned GEMM measured about 10% slower on an AVX-512 host.
 ///
 /// SAFETY requirement: the caller must own rows `i0..i0+mb` of `C`
 /// exclusively per the [`DisjointSlice`] contract.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
     a: &Matrix<P::Src>,
     c: &DisjointSlice<'_, P::Src>,
@@ -845,10 +835,13 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     let mut stats = TunedStats::default();
 
     for panel in panels(n, k, blocks) {
+        let t0 = Instant::now();
         stats.pack_b_bytes += P::pack_b(b, panel.p0, panel.kb, panel.jc, panel.nb, NR, b_buf);
+        perfport_telemetry::observe("gemm/pack_ns", elapsed_ns(t0));
         let bp_len = panel.nb.div_ceil(NR) * panel.kb * NR;
         for i0 in (rows.start..rows.end).step_by(mc) {
             let mb = mc.min(rows.end - i0);
+            let t0 = Instant::now();
             let s = compute_block::<P, MR, NR>(
                 a,
                 c,
@@ -861,6 +854,7 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
                 a_buf,
                 microkernel,
             );
+            perfport_telemetry::observe("gemm/compute_ns", elapsed_ns(t0));
             stats.pack_a_bytes += s.pack_a_bytes;
             stats.microkernel_calls += s.microkernel_calls;
         }
@@ -868,208 +862,9 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     stats
 }
 
-// --------------------------------------------------------- pipelining --
-
-/// Cumulative nanoseconds during which packing of `B` panel `s`
-/// overlapped microkernel execution on panel `s-1`, across every
-/// pipelined GEMM in this process.
-static PACK_OVERLAP_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative pack/compute overlap achieved by the pipelined graph
-/// scheduler in this process, in nanoseconds (also emitted per GEMM as
-/// the `gemm/tuned_pack_overlap_ns` trace counter). Zero under the
-/// barrier scheduler or a single worker — overlap needs a second thread.
-pub fn pack_overlap_ns() -> u64 {
-    PACK_OVERLAP_TOTAL.load(Ordering::Relaxed)
-}
-
-/// A packing buffer shared between graph tasks. Interior mutability is
-/// required because the pack task of panel `s` (writer) and the compute
-/// tasks of panel `s` (readers) hold the same buffer while the graph's
-/// dependency edges — not Rust borrows — serialise the access.
-struct SharedBuf<T>(UnsafeCell<AlignedBuf<T>>);
-
-impl<T: Scalar> SharedBuf<T> {
-    fn new() -> Self {
-        SharedBuf(UnsafeCell::new(AlignedBuf::new()))
-    }
-}
-
-// SAFETY: every access is ordered by TaskGraph happens-before edges:
-// pack[s] (the unique writer of buffer s % 2) depends on every reader of
-// the buffer's previous contents (compute[s-2][*]), and every reader of
-// the new contents (compute[s][*]) depends on pack[s].
-unsafe impl<T: Send> Sync for SharedBuf<T> {}
-
-/// The software-pipelined tuned GEMM: one dependency graph in which
-/// packing the next `Kc×Nc` `B` panel overlaps microkernel execution on
-/// the current panel.
-///
-/// * `B` panels are double-buffered: panel `s` packs into buffer
-///   `s % 2`, and its pack task depends only on the *readers of that
-///   buffer's previous contents* (`compute[s-2][*]`) — not on all of
-///   panel `s-1`'s compute, which is the barrier the fork-join nest
-///   paid per panel.
-/// * Compute task `(s, r)` (row block `r` against panel `s`) depends on
-///   `pack[s]` and on `compute[s-1][r]`. The second edge keeps each `C`
-///   row block's panel order exactly serial (bitwise-identical results)
-///   and guarantees no two live mutable borrows of the same row.
-/// * `A` blocks are packed inside the compute tasks via the worker's
-///   thread-local arena, exactly as in barrier mode.
-///
-/// Returns the packing/microkernel counters plus the graph run's
-/// instrumentation; the measured pack/compute overlap feeds
-/// [`pack_overlap_ns`].
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined<P: PackOps, const MR: usize, const NR: usize>(
-    pool: &ThreadPool,
-    a: &Matrix<P::Src>,
-    b: &Matrix<P::Src>,
-    c: &DisjointSlice<'_, P::Src>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    blocks: &BlockSizes,
-    isa: Isa,
-) -> (TunedStats, GraphStats) {
-    let (m, n) = c_shape;
-    let k = a.cols();
-    let microkernel = simd::select::<P::Pack, MR, NR>(isa);
-    let panels = panels(n, k, blocks);
-    let row_blocks = row_blocks(m, MR, blocks.mc, pool.num_threads());
-    if panels.is_empty() || row_blocks.is_empty() {
-        // Nothing to contract or no C rows: C is already correct, and
-        // building pack tasks without compute readers would break the
-        // buffer-exclusivity argument above.
-        return (TunedStats::default(), TaskGraph::new().run(pool));
-    }
-
-    let pack_a_total = AtomicU64::new(0);
-    let pack_b_total = AtomicU64::new(0);
-    let micro_total = AtomicU64::new(0);
-    // Double-buffered B panels: panel s packs into buffer s % 2.
-    let b_bufs = [SharedBuf::<P::Pack>::new(), SharedBuf::<P::Pack>::new()];
-    // Overlap instrumentation: [start, end] ns since `epoch` of each
-    // panel's pack task and of its compute tasks' union window.
-    let epoch = Instant::now();
-    let pack_win: Vec<(AtomicU64, AtomicU64)> = (0..panels.len())
-        .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-        .collect();
-    let compute_win: Vec<(AtomicU64, AtomicU64)> = (0..panels.len())
-        .map(|_| (AtomicU64::new(u64::MAX), AtomicU64::new(0)))
-        .collect();
-
-    let mut graph = TaskGraph::new();
-    // compute[s-1][*] / compute[s-2][*] ids, carried across panels
-    // (including jc boundaries — row-block order stays serial end to
-    // end).
-    let mut one_ago: Vec<TaskId> = Vec::new();
-    let mut two_ago: Vec<TaskId> = Vec::new();
-    for (s, &panel) in panels.iter().enumerate() {
-        let buf = &b_bufs[s % 2];
-        let (pb_total, pwin) = (&pack_b_total, &pack_win[s]);
-        let pack = graph.add(&two_ago, move || {
-            let t0 = epoch.elapsed().as_nanos() as u64;
-            // SAFETY: exclusive access per the SharedBuf contract.
-            let b_buf = unsafe { &mut *buf.0.get() };
-            let bytes = P::pack_b(b, panel.p0, panel.kb, panel.jc, panel.nb, NR, b_buf);
-            pb_total.fetch_add(bytes, Ordering::Relaxed);
-            pwin.0.store(t0, Ordering::Relaxed);
-            let t1 = epoch.elapsed().as_nanos() as u64;
-            pwin.1.store(t1, Ordering::Relaxed);
-            perfport_telemetry::observe("gemm/pack_ns", t1.saturating_sub(t0));
-        });
-        let mut this_panel = Vec::with_capacity(row_blocks.len());
-        for (r, rows) in row_blocks.iter().enumerate() {
-            let (i0, mb) = (rows.start, rows.len());
-            let deps: Vec<TaskId> = match one_ago.get(r) {
-                Some(&prev) => vec![pack, prev],
-                None => vec![pack],
-            };
-            let (pa_total, mk_total) = (&pack_a_total, &micro_total);
-            let cwin = &compute_win[s];
-            let id = graph.add(&deps, move || {
-                let t0 = epoch.elapsed().as_nanos() as u64;
-                let bp_len = panel.nb.div_ceil(NR) * panel.kb * NR;
-                // SAFETY: shared read access per the SharedBuf contract
-                // (pack[s] happened-before this task).
-                let bp_all = unsafe { (*buf.0.get()).as_slice(bp_len) };
-                let stats = with_thread_arena(|arena: &mut PackArena<P::Src>| {
-                    let (a_buf, _) = P::bufs(arena);
-                    compute_block::<P, MR, NR>(
-                        a,
-                        c,
-                        c_shape,
-                        c_layout,
-                        panel,
-                        i0,
-                        mb,
-                        bp_all,
-                        a_buf,
-                        microkernel,
-                    )
-                });
-                pa_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
-                mk_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
-                cwin.0.fetch_min(t0, Ordering::Relaxed);
-                let t1 = epoch.elapsed().as_nanos() as u64;
-                cwin.1.fetch_max(t1, Ordering::Relaxed);
-                perfport_telemetry::observe("gemm/compute_ns", t1.saturating_sub(t0));
-            });
-            this_panel.push(id);
-        }
-        two_ago = std::mem::replace(&mut one_ago, this_panel);
-    }
-    let gstats = graph.run(pool);
-
-    // Pipelining yield: how long pack[s] ran while panel s-1 was still
-    // computing. (With one worker or one panel this is zero.)
-    let mut overlap = 0u64;
-    for s in 1..panels.len() {
-        let (ps, pe) = (
-            pack_win[s].0.load(Ordering::Relaxed),
-            pack_win[s].1.load(Ordering::Relaxed),
-        );
-        let (cs, ce) = (
-            compute_win[s - 1].0.load(Ordering::Relaxed),
-            compute_win[s - 1].1.load(Ordering::Relaxed),
-        );
-        if cs != u64::MAX {
-            overlap += pe.min(ce).saturating_sub(ps.max(cs));
-        }
-    }
-    PACK_OVERLAP_TOTAL.fetch_add(overlap, Ordering::Relaxed);
-    perfport_telemetry::counter_add("gemm/pack_overlap_ns", overlap);
-    if perfport_trace::enabled() {
-        perfport_trace::counter("gemm", "tuned_pack_overlap_ns", overlap as f64);
-    }
-
-    let totals = TunedStats {
-        pack_a_bytes: pack_a_total.into_inner(),
-        pack_b_bytes: pack_b_total.into_inner(),
-        microkernel_calls: micro_total.into_inner(),
-    };
-    (totals, gstats)
-}
-
-/// Tile + scalar dispatch for [`run_pipelined`] (the graph-scheduler
-/// analogue of the dispatch in [`gemm_rows_with_isa`]).
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined_dispatch<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &DisjointSlice<'_, T>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    params: &TunedParams,
-    isa: Isa,
-) -> (TunedStats, GraphStats) {
-    if let Some((a16, b16, c16)) = as_f16(a, b, c) {
-        let run = tile_fn!(params.tile, run_pipelined::<WidenedF16Ops>);
-        return run(pool, a16, b16, c16, c_shape, c_layout, &params.blocks, isa);
-    }
-    let run = tile_fn!(params.tile, run_pipelined::<PlainOps<T>>);
-    run(pool, a, b, c, c_shape, c_layout, &params.blocks, isa)
+/// Nanoseconds since `t0`, saturating at `u64::MAX`.
+fn elapsed_ns(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// The operands re-typed as `F16` when `T` is `F16` (the widened path),
@@ -1095,10 +890,9 @@ fn as_f16<'a, 'c, T: Scalar>(
 /// boundaries, and balanced to within one `mr`-row micropanel. The block
 /// count is the smallest multiple of `threads` the cap allows (or one
 /// block per micropanel, if fewer), so a static split hands every worker
-/// the same number of rows to within a micropanel and the pipelined
-/// graph's per-block chains have near-equal length (the largest block
-/// bounds the parallel speed-up). Which worker owns a row never changes
-/// its accumulation order, so the split cannot affect results.
+/// the same number of rows to within a micropanel. Which worker owns a
+/// row never changes its accumulation order, so the split cannot affect
+/// results.
 fn row_blocks(m: usize, mr: usize, mc: usize, threads: usize) -> Vec<Range<usize>> {
     let micropanels = m.div_ceil(mr);
     if micropanels == 0 {
@@ -1207,7 +1001,6 @@ pub fn gemm_rows_with_isa<T: Scalar>(
         );
     }
     let run = tile_fn!(params.tile, run_blocked::<PlainOps<T>>);
-    let (a_buf, b_buf) = PlainOps::<T>::bufs(arena);
     run(
         a,
         b,
@@ -1216,8 +1009,8 @@ pub fn gemm_rows_with_isa<T: Scalar>(
         c_layout,
         rows,
         &params.blocks,
-        a_buf,
-        b_buf,
+        &mut arena.a,
+        &mut arena.b,
         isa,
     )
 }
@@ -1253,32 +1046,19 @@ pub fn gemm_serial_with_isa<T: Scalar>(
     stats
 }
 
-/// Parallel tuned GEMM under the process-wide scheduler verdict
-/// ([`perfport_pool::sched::active`]): the pipelined task graph by
-/// default, the classic barrier fork-join under `--sched barrier` /
-/// `PERFPORT_SCHED=barrier`. Returns the region instrumentation; the
-/// packing/microkernel counters go to `perfport-trace`. Results are
-/// bitwise-identical across schedulers, team sizes, and serial.
+/// Parallel tuned GEMM: one fork-join `parallel_for` with
+/// [`Schedule::StaticBlock`] over balanced, `MR`-aligned row blocks of
+/// `C`, each worker running the blocked loop nest over its merged row
+/// range with its own thread-local [`PackArena`]. Returns the region
+/// instrumentation; the packing/microkernel counters go to
+/// `perfport-telemetry` and `perfport-trace`. Results are
+/// bitwise-identical across team sizes and to [`gemm_serial`].
 pub fn gemm<T: Scalar>(
     pool: &ThreadPool,
     a: &Matrix<T>,
     b: &Matrix<T>,
     c: &mut Matrix<T>,
     params: &TunedParams,
-) -> RegionStats {
-    gemm_with_sched(pool, a, b, c, params, perfport_pool::sched::active())
-}
-
-/// [`gemm`] with an explicit scheduler instead of the process-wide one —
-/// the A/B entry point tests and ablations use to compare schedulers
-/// without touching `PERFPORT_SCHED`.
-pub fn gemm_with_sched<T: Scalar>(
-    pool: &ThreadPool,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &mut Matrix<T>,
-    params: &TunedParams,
-    sched: SchedMode,
 ) -> RegionStats {
     let (m, n) = (c.rows(), c.cols());
     check_shapes(a, b, m, n);
@@ -1290,7 +1070,6 @@ pub fn gemm_with_sched<T: Scalar>(
         sp.arg("k", a.cols());
         sp.arg("tile", params.tile.name());
         sp.arg("isa", isa.name());
-        sp.arg("sched", sched.name());
         sp.arg("mc", params.blocks.mc);
         sp.arg("kc", params.blocks.kc);
         sp.arg("nc", params.blocks.nc);
@@ -1305,47 +1084,28 @@ pub fn gemm_with_sched<T: Scalar>(
     }
     let layout = c.layout();
     let ds = DisjointSlice::new(c.as_mut_slice());
-    match sched {
-        SchedMode::Graph => {
-            let (totals, gstats) =
-                run_pipelined_dispatch(pool, a, b, &ds, (m, n), layout, params, isa);
-            totals.emit(params.tile, isa);
-            RegionStats {
-                items_per_thread: gstats.tasks_per_worker.clone(),
-                chunks_per_thread: gstats.tasks_per_worker,
-                elapsed: gstats.elapsed,
-                // No barrier exists in graph mode; the idle analogue is
-                // recorded by the graph run itself (`pool/idle_ns`).
-                fork_join_overhead: Duration::ZERO,
-                barrier_wait_per_thread: Vec::new(),
-            }
+    let blocks = row_blocks(m, params.tile.mr, params.blocks.mc, pool.num_threads());
+    let pack_a_total = AtomicU64::new(0);
+    let pack_b_total = AtomicU64::new(0);
+    let micro_total = AtomicU64::new(0);
+    let region = pool.parallel_for(blocks.len(), Schedule::StaticBlock, |_ctx, chunk| {
+        if chunk.is_empty() {
+            return;
         }
-        SchedMode::Barrier => {
-            let blocks = row_blocks(m, params.tile.mr, params.blocks.mc, pool.num_threads());
-            let pack_a_total = AtomicU64::new(0);
-            let pack_b_total = AtomicU64::new(0);
-            let micro_total = AtomicU64::new(0);
-            let region = pool.parallel_for(blocks.len(), Schedule::StaticBlock, |_ctx, chunk| {
-                if chunk.is_empty() {
-                    return;
-                }
-                let rows = blocks[chunk.start].start..blocks[chunk.end - 1].end;
-                let stats = with_thread_arena(|arena| {
-                    gemm_rows(a, b, &ds, (m, n), layout, rows, params, arena)
-                });
-                pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
-                pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
-                micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
-            });
-            let totals = TunedStats {
-                pack_a_bytes: pack_a_total.into_inner(),
-                pack_b_bytes: pack_b_total.into_inner(),
-                microkernel_calls: micro_total.into_inner(),
-            };
-            totals.emit(params.tile, isa);
-            region
-        }
-    }
+        let rows = blocks[chunk.start].start..blocks[chunk.end - 1].end;
+        let stats =
+            with_thread_arena(|arena| gemm_rows(a, b, &ds, (m, n), layout, rows, params, arena));
+        pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
+        pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
+        micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
+    });
+    let totals = TunedStats {
+        pack_a_bytes: pack_a_total.into_inner(),
+        pack_b_bytes: pack_b_total.into_inner(),
+        microkernel_calls: micro_total.into_inner(),
+    };
+    totals.emit(params.tile, isa);
+    region
 }
 
 #[cfg(test)]
@@ -1417,13 +1177,13 @@ mod tests {
         }
     }
 
-    /// Serial reference vs an explicit scheduler, bitwise.
-    fn sched_vs_serial<T: Scalar>(m: usize, k: usize, n: usize, jobs: usize, sched: SchedMode) {
+    /// Serial reference vs the parallel driver on `jobs` workers, bitwise.
+    fn parallel_vs_serial<T: Scalar>(m: usize, k: usize, n: usize, jobs: usize) {
         let pool = ThreadPool::new(jobs);
         let params = TunedParams {
             tile: TileShape { mr: 4, nr: 4 },
             // Tiny blocks force many row blocks and (jc, p0) panels, so
-            // the double buffers wrap repeatedly.
+            // every worker's B buffer is repacked repeatedly.
             blocks: BlockSizes {
                 mc: 8,
                 kc: 12,
@@ -1435,33 +1195,26 @@ mod tests {
             let b = Matrix::<T>::random(k, n, layout, 8);
             let mut c_serial = Matrix::<T>::zeros(m, n, layout);
             gemm_serial(&a, &b, &mut c_serial, &params, &mut PackArena::new());
-            let mut c_sched = Matrix::<T>::zeros(m, n, layout);
-            gemm_with_sched(&pool, &a, &b, &mut c_sched, &params, sched);
-            assert_eq!(
-                c_serial,
-                c_sched,
-                "{} {layout} jobs={jobs} sched={sched}",
-                T::NAME
-            );
+            let mut c_par = Matrix::<T>::zeros(m, n, layout);
+            gemm(&pool, &a, &b, &mut c_par, &params);
+            assert_eq!(c_serial, c_par, "{} {layout} jobs={jobs}", T::NAME);
         }
     }
 
     #[test]
-    fn both_schedulers_are_bit_identical_to_serial_all_precisions() {
+    fn parallel_is_bit_identical_to_serial_all_precisions() {
         for jobs in [1, 2, 7] {
-            for sched in [SchedMode::Barrier, SchedMode::Graph] {
-                sched_vs_serial::<f64>(83, 57, 43, jobs, sched);
-                sched_vs_serial::<f32>(61, 45, 39, jobs, sched);
-                sched_vs_serial::<F16>(33, 29, 21, jobs, sched);
-            }
+            parallel_vs_serial::<f64>(83, 57, 43, jobs);
+            parallel_vs_serial::<f32>(61, 45, 39, jobs);
+            parallel_vs_serial::<F16>(33, 29, 21, jobs);
         }
     }
 
     #[test]
-    fn double_buffer_reuse_survives_many_panels() {
+    fn pack_buffer_reuse_survives_many_panels() {
         // k and n large relative to kc/nc: 8 k-panels × 4 jc panels = 32
-        // B-panel packs through 2 buffers, while 7 workers race the
-        // pipeline. Any reuse-before-drained bug corrupts C.
+        // B-panel packs through each worker's one buffer, while 7 workers
+        // run side by side. Any reuse-before-drained bug corrupts C.
         let pool = ThreadPool::new(7);
         let params = TunedParams {
             tile: TileShape { mr: 4, nr: 4 },
@@ -1477,32 +1230,10 @@ mod tests {
         let mut c_serial = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
         gemm_serial(&a, &b, &mut c_serial, &params, &mut PackArena::new());
         for _ in 0..16 {
-            let mut c_graph = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
-            gemm_with_sched(&pool, &a, &b, &mut c_graph, &params, SchedMode::Graph);
-            assert_eq!(c_serial, c_graph);
+            let mut c_par = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
+            gemm(&pool, &a, &b, &mut c_par, &params);
+            assert_eq!(c_serial, c_par);
         }
-    }
-
-    #[test]
-    fn graph_mode_reports_tasks_and_overlap_monotonically() {
-        let pool = ThreadPool::new(4);
-        let params = TunedParams {
-            tile: TileShape { mr: 4, nr: 4 },
-            blocks: BlockSizes {
-                mc: 8,
-                kc: 8,
-                nc: 16,
-            },
-        };
-        let (m, k, n) = (64, 48, 32);
-        let a = Matrix::<f64>::random(m, k, Layout::RowMajor, 13);
-        let b = Matrix::<f64>::random(k, n, Layout::RowMajor, 14);
-        let before = pack_overlap_ns();
-        let mut c = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
-        let region = gemm_with_sched(&pool, &a, &b, &mut c, &params, SchedMode::Graph);
-        // (2 jc × 6 k) panels × 8 row-block compute tasks + 12 packs.
-        assert_eq!(region.items_per_thread.iter().sum::<usize>(), 12 * 8 + 12);
-        assert!(pack_overlap_ns() >= before);
     }
 
     #[test]
@@ -1686,7 +1417,7 @@ mod tests {
     }
 
     #[test]
-    fn balanced_split_keeps_both_schedulers_bitwise_serial() {
+    fn balanced_split_keeps_parallel_bitwise_serial() {
         // Ragged m against the host's default tile, ragged k/n, and real
         // cache blocking: the split changes who owns a row, never the
         // accumulation order.
@@ -1700,18 +1431,16 @@ mod tests {
             gemm_serial(&a, &b, &mut c_serial, &params, &mut PackArena::new());
             for threads in 2..=5 {
                 let pool = ThreadPool::new(threads);
-                for sched in [SchedMode::Barrier, SchedMode::Graph] {
-                    let mut c = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
-                    let region = gemm_with_sched(&pool, &a, &b, &mut c, &params, sched);
-                    assert_eq!(c_serial, c, "m={m} threads={threads} sched={sched}");
-                    if sched == SchedMode::Barrier && m >= threads * mr {
-                        let items = &region.items_per_thread;
-                        assert_eq!(items.len(), threads);
-                        assert!(
-                            items.iter().all(|&i| i > 0),
-                            "m={m} threads={threads}: {items:?}"
-                        );
-                    }
+                let mut c = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
+                let region = gemm(&pool, &a, &b, &mut c, &params);
+                assert_eq!(c_serial, c, "m={m} threads={threads}");
+                if m >= threads * mr {
+                    let items = &region.items_per_thread;
+                    assert_eq!(items.len(), threads);
+                    assert!(
+                        items.iter().all(|&i| i > 0),
+                        "m={m} threads={threads}: {items:?}"
+                    );
                 }
             }
         }

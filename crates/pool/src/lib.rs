@@ -9,7 +9,9 @@
 //! scratch on `crossbeam` channels and `parking_lot` primitives:
 //!
 //! * [`ThreadPool`] — a persistent worker team with fork-join semantics and
-//!   panic propagation (the "OpenMP runtime").
+//!   panic propagation (the "OpenMP runtime"). Every parallel call site in
+//!   the workspace runs on it as a `parallel for` over a [`Schedule`],
+//!   which is the execution shape all four of the paper's CPU models share.
 //! * [`Schedule`] — static (block or round-robin chunked), dynamic, and
 //!   guided loop schedules, implemented exactly as the OpenMP 5.x
 //!   specification describes them.
@@ -24,10 +26,6 @@
 //! * [`WorkQueue`] — a submit-from-outside task queue drained by the pool's
 //!   team, for serving workloads where work arrives continuously instead of
 //!   as one up-front index space.
-//! * [`TaskGraph`] — a dependency-driven task executor (message-passing
-//!   readiness, no global barriers) with cycle detection, deterministic
-//!   ordering, and `WorkQueue`-style panic→poison semantics; [`sched`]
-//!   selects between it and the barrier constructs per process.
 //! * [`SenseBarrier`] — a reusable sense-reversing barrier.
 //! * [`DisjointSlice`] — safe disjoint mutable access for row-parallel
 //!   kernels.
@@ -35,24 +33,20 @@
 //!   shared atomics, and cache capacities for cache-aware blocking.
 
 mod barrier;
-mod graph;
 mod pad;
 mod pool;
 mod queue;
 mod reduce;
-pub mod sched;
 mod schedule;
 mod slice;
 mod stats;
 mod topology;
 
 pub use barrier::SenseBarrier;
-pub use graph::{CycleError, GraphStats, TaskGraph, TaskId};
 pub use pad::CachePadded;
 pub use pool::{ForContext, ThreadPool};
 pub use queue::WorkQueue;
-pub use sched::SchedMode;
 pub use schedule::{Chunk, Schedule, StaticChunks};
 pub use slice::DisjointSlice;
-pub use stats::{sched_totals, RegionStats, SchedTotals};
+pub use stats::RegionStats;
 pub use topology::{CacheInfo, CacheSource, CpuTopology, PinPolicy, Placement};

@@ -346,8 +346,8 @@ impl ThreadPool {
         let busy = busy.into_inner();
         let max_busy = busy.iter().copied().max().unwrap_or(Duration::ZERO);
         // A thread that finished early sat at the implicit end barrier for
-        // the rest of the region; that wait is what the graph scheduler
-        // removes, so it is measured on every run.
+        // the rest of the region; that wait is the schedule's imbalance in
+        // wall time, so it is measured on every run.
         let barrier_wait_per_thread: Vec<Duration> =
             busy.iter().map(|&b| elapsed.saturating_sub(b)).collect();
         let stats = RegionStats {
@@ -361,7 +361,6 @@ impl ThreadPool {
             .total_barrier_wait()
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
-        crate::stats::record_barrier_wait(barrier_wait_ns);
         perfport_telemetry::counter_add("pool/barrier_wait_ns", barrier_wait_ns);
         perfport_telemetry::observe("pool/parallel_for_ns", region_ns_u64(elapsed));
         if sp.is_recording() {

@@ -16,7 +16,7 @@
 //! > bytes identical to the `--shard 0/1` single-shot artifact.
 //!
 //! Each worker stamps its `perfport-manifest/1` (ISA, caches,
-//! scheduler, telemetry mode) into its `Result` frames; the coordinator
+//! telemetry mode) into its `Result` frames; the coordinator
 //! embeds every worker's manifest into the joined artifact's trailer,
 //! so cross-machine provenance survives the join.
 //!

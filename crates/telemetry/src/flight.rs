@@ -3,8 +3,8 @@
 //!
 //! Every thread that records an event owns a fixed-size [`Ring`]
 //! (capacity [`DEFAULT_RING_CAPACITY`]) holding the newest structured
-//! events — region begin/end, graph task run/skip, queue
-//! submit/drain, scheduler decisions. Recording is a push into a
+//! events — region begin/end, task panics, queue drains and
+//! poisonings. Recording is a push into a
 //! thread-owned ring behind an uncontended mutex; memory is bounded
 //! no matter how long the process runs. The rings are invisible in
 //! steady state: nothing is ever written to disk until a pool region
