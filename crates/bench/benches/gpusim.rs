@@ -50,7 +50,6 @@ fn bench_race_detector(c: &mut Criterion) {
             let cfg = LaunchConfig::cover1d(n as u32, 256);
             let opts = LaunchOptions {
                 detect_races: detect,
-                ..Default::default()
             };
             bench.iter(|| {
                 let stats = gpu
@@ -76,39 +75,29 @@ fn bench_host_parallelism(c: &mut Criterion) {
     let n = 96usize;
     let a = Matrix::<f64>::random(n, n, Layout::RowMajor, 1);
     let b = Matrix::<f64>::random(n, n, Layout::RowMajor, 2);
-    for host_threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(host_threads),
-            &host_threads,
-            |bench, &ht| {
-                let gpu = Gpu::new(perfport_gpusim::DeviceClass::NvidiaLike);
-                bench.iter(|| {
-                    let da = gpu.alloc_from_slice(a.as_slice());
-                    let db = gpu.alloc_from_slice(b.as_slice());
-                    let dc = gpu.alloc_filled(n * n, 0.0f64);
-                    let cfg = LaunchConfig::cover2d(n as u32, n as u32, Dim3::d2(32, 32));
-                    let opts = LaunchOptions {
-                        host_threads: ht,
-                        detect_races: false,
-                    };
-                    let stats = gpu
-                        .launch_with(cfg, opts, |t| {
-                            let (col, row) = t.grid2();
-                            if row < n && col < n {
-                                let mut sum = 0.0;
-                                for l in 0..n {
-                                    sum += da.read(t, row * n + l) * db.read(t, l * n + col);
-                                }
-                                dc.write(t, row * n + col, sum);
-                                t.tally_flops(2 * n as u64);
-                            }
-                        })
-                        .unwrap();
-                    black_box(stats)
+    group.bench_function("pooled", |bench| {
+        let gpu = Gpu::new(perfport_gpusim::DeviceClass::NvidiaLike);
+        bench.iter(|| {
+            let da = gpu.alloc_from_slice(a.as_slice());
+            let db = gpu.alloc_from_slice(b.as_slice());
+            let dc = gpu.alloc_filled(n * n, 0.0f64);
+            let cfg = LaunchConfig::cover2d(n as u32, n as u32, Dim3::d2(32, 32));
+            let stats = gpu
+                .launch(cfg, |t| {
+                    let (col, row) = t.grid2();
+                    if row < n && col < n {
+                        let mut sum = 0.0;
+                        for l in 0..n {
+                            sum += da.read(t, row * n + l) * db.read(t, l * n + col);
+                        }
+                        dc.write(t, row * n + col, sum);
+                        t.tally_flops(2 * n as u64);
+                    }
                 })
-            },
-        );
-    }
+                .unwrap();
+            black_box(stats)
+        })
+    });
     group.finish();
 }
 

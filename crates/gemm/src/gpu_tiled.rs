@@ -27,8 +27,7 @@
 use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use perfport_gpusim::{
-    CooperativeKernel, Dim3, Gpu, LaunchConfig, LaunchError, LaunchOptions, LaunchStats, SharedMem,
-    ThreadCtx,
+    CooperativeKernel, Dim3, Gpu, LaunchConfig, LaunchError, LaunchStats, SharedMem, ThreadCtx,
 };
 
 /// Tile side length (threads per block side).
@@ -158,13 +157,7 @@ pub fn gpu_gemm_tiled_mixed<I: Scalar, O: Scalar>(
         k,
         steps: k.div_ceil(TILE),
     };
-    let stats = gpu.launch_cooperative(
-        cfg,
-        LaunchOptions::default(),
-        TILE_SMEM_ELEMS,
-        O::zero(),
-        &kernel,
-    )?;
+    let stats = gpu.launch_cooperative(cfg, TILE_SMEM_ELEMS, O::zero(), &kernel)?;
 
     let host = dc.to_host();
     let mut c = Matrix::<O>::zeros(m, n, Layout::RowMajor);

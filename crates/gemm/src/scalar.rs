@@ -9,9 +9,10 @@ use rand::Rng;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
-/// A floating-point element type usable in GEMM kernels.
+/// A floating-point element type usable in GEMM kernels, on the host and
+/// in simulated device memory.
 pub trait Scalar:
-    Copy
+    perfport_gpusim::buffer::DeviceCopy
     + Send
     + Sync
     + PartialEq

@@ -2,116 +2,78 @@
 //!
 //! A [`DeviceBuffer`] owns typed storage plus a *simulated base address*
 //! used by the coalescing analysis (so that accesses to different buffers
-//! never alias a cache line). All element access — from kernel threads and
-//! from the host — goes through per-element atomic loads/stores, which
+//! never alias a cache line). Every element lives in the atomic integer of
+//! its width as its bit pattern, and all element access — from kernel
+//! threads and from the host — is a relaxed atomic load or store. That
 //! keeps even a misbehaving (racy) kernel free of undefined behaviour in
 //! the simulator; the optional race detector then reports such kernels
 //! instead of the process corrupting itself.
 
 use crate::ctx::ThreadCtx;
-use std::cell::UnsafeCell;
-use std::mem::{align_of, size_of};
+use perfport_half::F16;
+use std::convert::identity;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
-/// Element types storable in device memory: plain-old-data of a power-of-
-/// two size up to 8 bytes with natural alignment (covers `f64`, `f32`,
-/// `F16`, and the integer types).
-pub trait DeviceCopy: Copy + Send + Sync + 'static {}
-impl<T: Copy + Send + Sync + 'static> DeviceCopy for T {}
+/// Element types storable in device memory: `f64`, `f32`, [`F16`] and the
+/// unsigned integers `u64`, `u32`, `u8`. Each stores its bit pattern in
+/// the atomic of matching width.
+pub trait DeviceCopy: Copy + Send + Sync + 'static {
+    /// The atomic holding one element's bits.
+    type Cell: Send + Sync;
+
+    /// Wraps `self` in a fresh cell.
+    fn into_cell(self) -> Self::Cell;
+
+    /// Relaxed atomic load of the element in `cell`.
+    fn load(cell: &Self::Cell) -> Self;
+
+    /// Relaxed atomic store of `value` into `cell`.
+    fn store(cell: &Self::Cell, value: Self);
+}
+
+macro_rules! device_copy {
+    ($($t:ty => $atomic:ident($to_bits:path, $from_bits:path)),* $(,)?) => {$(
+        impl DeviceCopy for $t {
+            type Cell = $atomic;
+
+            #[inline]
+            fn into_cell(self) -> $atomic {
+                $atomic::new($to_bits(self))
+            }
+
+            #[inline]
+            fn load(cell: &$atomic) -> Self {
+                $from_bits(cell.load(Ordering::Relaxed))
+            }
+
+            #[inline]
+            fn store(cell: &$atomic, value: Self) {
+                cell.store($to_bits(value), Ordering::Relaxed)
+            }
+        }
+    )*};
+}
+
+device_copy! {
+    f64 => AtomicU64(f64::to_bits, f64::from_bits),
+    u64 => AtomicU64(identity, identity),
+    f32 => AtomicU32(f32::to_bits, f32::from_bits),
+    u32 => AtomicU32(identity, identity),
+    F16 => AtomicU16(F16::to_bits, F16::from_bits),
+    u8 => AtomicU8(identity, identity),
+}
 
 /// A typed allocation in simulated device-global memory.
-pub struct DeviceBuffer<T> {
-    data: Box<[UnsafeCell<T>]>,
+pub struct DeviceBuffer<T: DeviceCopy> {
+    data: Box<[T::Cell]>,
     base: u64,
     id: u32,
 }
 
-// SAFETY: all access to the cells goes through atomic loads/stores of the
-// element's bit pattern (see `load_raw`/`store_raw`), so concurrent use
-// from multiple simulated threads cannot produce UB.
-unsafe impl<T: DeviceCopy> Sync for DeviceBuffer<T> {}
-unsafe impl<T: DeviceCopy> Send for DeviceBuffer<T> {}
-
-fn assert_supported<T>() {
-    let s = size_of::<T>();
-    assert!(
-        matches!(s, 1 | 2 | 4 | 8) && align_of::<T>() >= s.min(align_of::<u64>()),
-        "device elements must be 1/2/4/8 bytes with natural alignment"
-    );
-}
-
-/// Atomically loads the bit pattern of the element behind `cell`.
-///
-/// # Safety
-///
-/// `cell` must be a live element of a `DeviceBuffer` (guaranteed by the
-/// callers, which index-check first).
-unsafe fn load_raw<T: Copy>(cell: &UnsafeCell<T>) -> T {
-    let p = cell.get();
-    // SAFETY: size/alignment validated at buffer construction; the atomic
-    // types have the same layout as the corresponding integers.
-    unsafe {
-        match size_of::<T>() {
-            1 => {
-                let bits = (*(p as *const AtomicU8)).load(Ordering::Relaxed);
-                std::mem::transmute_copy(&bits)
-            }
-            2 => {
-                let bits = (*(p as *const AtomicU16)).load(Ordering::Relaxed);
-                std::mem::transmute_copy(&bits)
-            }
-            4 => {
-                let bits = (*(p as *const AtomicU32)).load(Ordering::Relaxed);
-                std::mem::transmute_copy(&bits)
-            }
-            8 => {
-                let bits = (*(p as *const AtomicU64)).load(Ordering::Relaxed);
-                std::mem::transmute_copy(&bits)
-            }
-            _ => unreachable!("validated at construction"),
-        }
-    }
-}
-
-/// Atomically stores the bit pattern of `value` into `cell`.
-///
-/// # Safety
-///
-/// Same contract as [`load_raw`].
-unsafe fn store_raw<T: Copy>(cell: &UnsafeCell<T>, value: T) {
-    let p = cell.get();
-    // SAFETY: as in `load_raw`.
-    unsafe {
-        match size_of::<T>() {
-            1 => {
-                let bits: u8 = std::mem::transmute_copy(&value);
-                (*(p as *const AtomicU8)).store(bits, Ordering::Relaxed);
-            }
-            2 => {
-                let bits: u16 = std::mem::transmute_copy(&value);
-                (*(p as *const AtomicU16)).store(bits, Ordering::Relaxed);
-            }
-            4 => {
-                let bits: u32 = std::mem::transmute_copy(&value);
-                (*(p as *const AtomicU32)).store(bits, Ordering::Relaxed);
-            }
-            8 => {
-                let bits: u64 = std::mem::transmute_copy(&value);
-                (*(p as *const AtomicU64)).store(bits, Ordering::Relaxed);
-            }
-            _ => unreachable!("validated at construction"),
-        }
-    }
-}
-
 impl<T: DeviceCopy> DeviceBuffer<T> {
-    pub(crate) fn new(id: u32, base: u64, host: Vec<T>) -> Self {
-        assert_supported::<T>();
-        let data = host
-            .into_iter()
-            .map(UnsafeCell::new)
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    pub(crate) fn new(id: u32, base: u64, host: impl IntoIterator<Item = T>) -> Self {
+        let data = host.into_iter().map(T::into_cell).collect();
         DeviceBuffer { data, base, id }
     }
 
@@ -157,8 +119,7 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
             self.data.len()
         );
         ctx.record_load(self.addr_of(idx), size_of::<T>() as u8);
-        // SAFETY: bounds checked above.
-        unsafe { load_raw(&self.data[idx]) }
+        T::load(&self.data[idx])
     }
 
     /// Device-side store of `value` into element `idx`, recording the
@@ -176,96 +137,63 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
             self.data.len()
         );
         ctx.record_store(self.addr_of(idx), size_of::<T>() as u8);
-        // SAFETY: bounds checked above.
-        unsafe { store_raw(&self.data[idx], value) }
+        T::store(&self.data[idx], value)
     }
 
     /// Host-side read (no traffic recorded) — a `cudaMemcpy` back.
     pub fn get(&self, idx: usize) -> T {
         assert!(idx < self.data.len(), "host read out of bounds");
-        // SAFETY: bounds checked above.
-        unsafe { load_raw(&self.data[idx]) }
+        T::load(&self.data[idx])
     }
 
     /// Host-side write (no traffic recorded).
     pub fn set(&self, idx: usize, value: T) {
         assert!(idx < self.data.len(), "host write out of bounds");
-        // SAFETY: bounds checked above.
-        unsafe { store_raw(&self.data[idx], value) }
+        T::store(&self.data[idx], value)
     }
 
     /// Copies the whole buffer back to the host.
     pub fn to_host(&self) -> Vec<T> {
-        // SAFETY: indices in range by construction.
-        self.data.iter().map(|c| unsafe { load_raw(c) }).collect()
+        self.data.iter().map(T::load).collect()
     }
 }
 
 /// Element types supporting device atomics (`atomicAdd`).
 pub trait DeviceAtomicAdd: DeviceCopy {
-    /// Atomically adds `value` to the element behind `cell`, returning
-    /// the previous value.
-    ///
-    /// # Safety
-    ///
-    /// `cell` must be a live element of a `DeviceBuffer`.
-    unsafe fn raw_atomic_add(cell: &UnsafeCell<Self>, value: Self) -> Self;
+    /// Atomically adds `value` to the element in `cell`, returning the
+    /// previous value.
+    fn fetch_add(cell: &Self::Cell, value: Self) -> Self;
 }
 
 impl DeviceAtomicAdd for u32 {
-    unsafe fn raw_atomic_add(cell: &UnsafeCell<u32>, value: u32) -> u32 {
-        // SAFETY: alignment/size validated at construction.
-        unsafe { (*(cell.get() as *const AtomicU32)).fetch_add(value, Ordering::Relaxed) }
+    fn fetch_add(cell: &AtomicU32, value: u32) -> u32 {
+        cell.fetch_add(value, Ordering::Relaxed)
     }
 }
 
 impl DeviceAtomicAdd for u64 {
-    unsafe fn raw_atomic_add(cell: &UnsafeCell<u64>, value: u64) -> u64 {
-        // SAFETY: alignment/size validated at construction.
-        unsafe { (*(cell.get() as *const AtomicU64)).fetch_add(value, Ordering::Relaxed) }
+    fn fetch_add(cell: &AtomicU64, value: u64) -> u64 {
+        cell.fetch_add(value, Ordering::Relaxed)
     }
 }
 
+// Floats add through a compare-exchange loop on the bit pattern — how
+// pre-sm_60 atomicAdd(double) is implemented, and exactly equivalent to
+// the hardware instruction's result.
+
 impl DeviceAtomicAdd for f32 {
-    unsafe fn raw_atomic_add(cell: &UnsafeCell<f32>, value: f32) -> f32 {
-        // Compare-exchange loop on the bit pattern — how pre-sm_60
-        // atomicAdd(float) is implemented, and exactly equivalent to the
-        // hardware instruction's result.
-        // SAFETY: alignment/size validated at construction.
-        let atom = unsafe { &*(cell.get() as *const AtomicU32) };
-        let mut cur = atom.load(Ordering::Relaxed);
-        loop {
-            let new = f32::from_bits(cur) + value;
-            match atom.compare_exchange_weak(
-                cur,
-                new.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(old) => return f32::from_bits(old),
-                Err(seen) => cur = seen,
-            }
-        }
+    fn fetch_add(cell: &AtomicU32, value: f32) -> f32 {
+        let add = |bits| Some((f32::from_bits(bits) + value).to_bits());
+        let (Ok(old) | Err(old)) = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        f32::from_bits(old)
     }
 }
 
 impl DeviceAtomicAdd for f64 {
-    unsafe fn raw_atomic_add(cell: &UnsafeCell<f64>, value: f64) -> f64 {
-        // SAFETY: alignment/size validated at construction.
-        let atom = unsafe { &*(cell.get() as *const AtomicU64) };
-        let mut cur = atom.load(Ordering::Relaxed);
-        loop {
-            let new = f64::from_bits(cur) + value;
-            match atom.compare_exchange_weak(
-                cur,
-                new.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(old) => return f64::from_bits(old),
-                Err(seen) => cur = seen,
-            }
-        }
+    fn fetch_add(cell: &AtomicU64, value: f64) -> f64 {
+        let add = |bits| Some((f64::from_bits(bits) + value).to_bits());
+        let (Ok(old) | Err(old)) = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        f64::from_bits(old)
     }
 }
 
@@ -285,15 +213,13 @@ impl<T: DeviceAtomicAdd> DeviceBuffer<T> {
             self.data.len()
         );
         ctx.record_atomic(self.addr_of(idx), size_of::<T>() as u8);
-        // SAFETY: bounds checked above.
-        unsafe { T::raw_atomic_add(&self.data[idx], value) }
+        T::fetch_add(&self.data[idx], value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfport_half::F16;
 
     #[test]
     fn round_trip_f64() {

@@ -7,19 +7,19 @@
 //! without one OS thread per GPU thread. Per-thread locals that must
 //! survive a barrier live in the kernel's `State` type.
 //!
+//! Blocks run on the same block engine as plain launches (see
+//! [`crate::launch`]); only the per-block body — this phase loop with its
+//! [`SharedMem`] — is specific to cooperative kernels.
+//!
 //! Real GPUs make barrier divergence (some lanes skipping the barrier)
 //! undefined behaviour; the engine turns it into
 //! [`LaunchError::BarrierDivergence`].
 
 use crate::buffer::DeviceCopy;
-use crate::coalesce::analyze_warp;
 use crate::ctx::{Access, ThreadCtx};
-use crate::launch::{Gpu, LaunchConfig, LaunchError, LaunchOptions};
+use crate::launch::{BlockGeometry, Gpu, LaunchConfig, LaunchError};
 use crate::stats::LaunchStats;
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Block-local shared memory (`__shared__` / LDS).
 ///
@@ -161,10 +161,14 @@ impl Gpu {
     /// [`LaunchError::InvalidConfig`] for illegal shapes or shared-memory
     /// requests over the device limit, [`LaunchError::BarrierDivergence`]
     /// when a block's threads disagree about continuing.
+    ///
+    /// # Panics
+    ///
+    /// Propagates kernel panics with their original message, as
+    /// [`Gpu::launch`] does.
     pub fn launch_cooperative<T, K>(
         &self,
         cfg: LaunchConfig,
-        opts: LaunchOptions,
         smem_len: usize,
         smem_init: T,
         kernel: &K,
@@ -181,121 +185,48 @@ impl Gpu {
                 self.class().max_shared_mem_per_block()
             )));
         }
+        let geom = BlockGeometry::new(self.class(), cfg);
 
-        let start = Instant::now();
-        let class = self.class();
-        let warp = class.warp_size() as u64;
-        let line_bytes = class.transaction_bytes();
-        let threads_per_block = cfg.block.count();
-        let warps_per_block = threads_per_block.div_ceil(warp);
-        let n_blocks = cfg.grid.count();
-
-        let host_threads = {
-            let avail = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            let requested = if opts.host_threads == 0 {
-                avail
-            } else {
-                opts.host_threads
-            };
-            requested.min(n_blocks as usize).max(1)
-        };
-
-        let next_block = AtomicU64::new(0);
-        let totals = Mutex::new(LaunchStats {
-            line_bytes,
-            ..Default::default()
-        });
-        let failure: Mutex<Option<LaunchError>> = Mutex::new(None);
-
-        std::thread::scope(|s| {
-            for _ in 0..host_threads {
-                s.spawn(|| {
-                    let mut local = LaunchStats {
-                        line_bytes,
-                        ..Default::default()
-                    };
-                    'blocks: loop {
-                        if failure.lock().is_some() {
-                            break;
+        self.run_blocks(cfg.grid, false, |block_idx| {
+            let mut local = geom.block_stats();
+            let shared = SharedMem::new(smem_len, smem_init, geom.warp as usize);
+            let mut states: Vec<K::State> = (0..geom.threads_per_block)
+                .map(|_| K::State::default())
+                .collect();
+            let mut lanes: Vec<Vec<Access>> = Vec::with_capacity(geom.warp as usize);
+            let mut phase = 0usize;
+            loop {
+                let mut want_more = None;
+                for w in 0..geom.warps_per_block {
+                    lanes.clear();
+                    for lin in geom.warp_lanes(w) {
+                        let ctx = geom.thread(block_idx, lin);
+                        shared.set_lane((lin % geom.warp) as usize);
+                        let more = kernel.phase(phase, &ctx, &mut states[lin as usize], &shared);
+                        if *want_more.get_or_insert(more) != more {
+                            return Err(LaunchError::BarrierDivergence {
+                                block: block_idx,
+                                phase,
+                            });
                         }
-                        let b = next_block.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_blocks {
-                            break;
-                        }
-                        let block_idx = cfg.grid.delinearize(b);
-                        local.blocks += 1;
-                        let shared = SharedMem::new(smem_len, smem_init, warp as usize);
-                        let mut states: Vec<K::State> = (0..threads_per_block)
-                            .map(|_| K::State::default())
-                            .collect();
-
-                        let mut phase = 0usize;
-                        loop {
-                            let mut want_more = None;
-                            for w in 0..warps_per_block {
-                                local.warps += 1;
-                                let lane_count = warp.min(threads_per_block - w * warp);
-                                let mut lanes: Vec<Vec<Access>> =
-                                    Vec::with_capacity(lane_count as usize);
-                                for lane in 0..lane_count {
-                                    let lin = w * warp + lane;
-                                    let thread_idx = cfg.block.delinearize(lin);
-                                    let ctx = ThreadCtx::new(
-                                        class, cfg.grid, cfg.block, block_idx, thread_idx,
-                                    );
-                                    shared.set_lane(lane as usize);
-                                    let more = kernel.phase(
-                                        phase,
-                                        &ctx,
-                                        &mut states[lin as usize],
-                                        &shared,
-                                    );
-                                    match want_more {
-                                        None => want_more = Some(more),
-                                        Some(prev) if prev != more => {
-                                            *failure.lock() =
-                                                Some(LaunchError::BarrierDivergence {
-                                                    block: block_idx,
-                                                    phase,
-                                                });
-                                            continue 'blocks;
-                                        }
-                                        _ => {}
-                                    }
-                                    let (obs, log) = ctx.take_observations();
-                                    local.flops += obs.flops;
-                                    local.atomic_ops += obs.atomics;
-                                    if phase == 0 {
-                                        local.threads += 1;
-                                    }
-                                    lanes.push(log);
-                                }
-                                let summary = analyze_warp(&lanes, line_bytes);
-                                local.absorb_warp(&summary);
-                                local.bank_conflicts += shared.drain_conflicts();
-                            }
-                            phase += 1;
-                            local.phases = local.phases.max(phase as u64);
-                            if want_more != Some(true) {
-                                break;
-                            }
-                        }
-                        local.shared_loads += shared.loads.get();
-                        local.shared_stores += shared.stores.get();
+                        lanes.push(local.absorb_thread(ctx));
                     }
-                    totals.lock().merge(&local);
-                });
+                    if phase == 0 {
+                        local.threads += lanes.len() as u64;
+                    }
+                    local.absorb_warp(&lanes);
+                    local.bank_conflicts += shared.drain_conflicts();
+                }
+                phase += 1;
+                if want_more != Some(true) {
+                    break;
+                }
             }
-        });
-
-        if let Some(err) = failure.into_inner() {
-            return Err(err);
-        }
-        let mut stats = totals.into_inner();
-        stats.sim_time = start.elapsed();
-        Ok(stats)
+            local.phases = phase as u64;
+            local.shared_loads = shared.loads.get();
+            local.shared_stores = shared.stores.get();
+            Ok(local)
+        })
     }
 }
 
@@ -364,9 +295,7 @@ mod tests {
             output: &output,
             n,
         };
-        let stats = gpu
-            .launch_cooperative(cfg, LaunchOptions::default(), 128, 0.0f32, &kernel)
-            .unwrap();
+        let stats = gpu.launch_cooperative(cfg, 128, 0.0f32, &kernel).unwrap();
         let total: f32 = output.to_host().iter().sum();
         assert_eq!(total, expected);
         assert_eq!(stats.phases, 2);
@@ -401,13 +330,7 @@ mod tests {
         let gpu = Gpu::new(DeviceClass::AmdLike);
         let cfg = LaunchConfig::cover1d(256, 64);
         let stats = gpu
-            .launch_cooperative(
-                cfg,
-                LaunchOptions::default(),
-                0,
-                0.0f32,
-                &Accumulate { rounds: 5 },
-            )
+            .launch_cooperative(cfg, 0, 0.0f32, &Accumulate { rounds: 5 })
             .unwrap();
         assert_eq!(stats.phases, 5);
     }
@@ -428,7 +351,7 @@ mod tests {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
         let cfg = LaunchConfig::cover1d(64, 64);
         let err = gpu
-            .launch_cooperative(cfg, LaunchOptions::default(), 0, 0.0f32, &Diverge)
+            .launch_cooperative(cfg, 0, 0.0f32, &Diverge)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -436,18 +359,35 @@ mod tests {
         ));
     }
 
+    /// Every thread reads far past the end of a 64-element buffer.
+    struct OutOfBounds<'a> {
+        buf: &'a DeviceBuffer<f32>,
+    }
+
+    impl CooperativeKernel<f32> for OutOfBounds<'_> {
+        type State = ();
+
+        fn phase(&self, _p: usize, ctx: &ThreadCtx, _s: &mut (), _sh: &SharedMem<f32>) -> bool {
+            self.buf.read(ctx, 1_000_000);
+            false
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "illegal device address")]
+    fn out_of_bounds_access_keeps_its_message() {
+        let gpu = Gpu::new(DeviceClass::NvidiaLike);
+        let buf = gpu.alloc_filled(64, 0.0f32);
+        let cfg = LaunchConfig::cover1d(256, 64);
+        let _ = gpu.launch_cooperative(cfg, 0, 0.0f32, &OutOfBounds { buf: &buf });
+    }
+
     #[test]
     fn oversized_shared_memory_rejected() {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
         let cfg = LaunchConfig::cover1d(64, 64);
         let err = gpu
-            .launch_cooperative(
-                cfg,
-                LaunchOptions::default(),
-                100_000,
-                0.0f32,
-                &Accumulate { rounds: 1 },
-            )
+            .launch_cooperative(cfg, 100_000, 0.0f32, &Accumulate { rounds: 1 })
             .unwrap_err();
         assert!(matches!(err, LaunchError::InvalidConfig(_)));
     }
@@ -457,7 +397,7 @@ mod tests {
 mod bank_conflict_tests {
     use super::*;
     use crate::device::DeviceClass;
-    use crate::launch::{Gpu, LaunchConfig, LaunchOptions};
+    use crate::launch::{Gpu, LaunchConfig};
 
     /// Each lane touches shared slot `lane * stride`.
     struct StridedSmem {
@@ -478,13 +418,7 @@ mod bank_conflict_tests {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
         let cfg = LaunchConfig::cover1d(32, 32);
         let stats = gpu
-            .launch_cooperative(
-                cfg,
-                LaunchOptions::default(),
-                1024,
-                0.0f32,
-                &StridedSmem { stride },
-            )
+            .launch_cooperative(cfg, 1024, 0.0f32, &StridedSmem { stride })
             .unwrap();
         stats.bank_conflicts
     }
@@ -522,13 +456,7 @@ mod bank_conflict_tests {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
         let cfg = LaunchConfig::cover1d(64, 64);
         let stats = gpu
-            .launch_cooperative(
-                cfg,
-                LaunchOptions::default(),
-                64,
-                0.0f32,
-                &StridedSmem { stride: 1 },
-            )
+            .launch_cooperative(cfg, 64, 0.0f32, &StridedSmem { stride: 1 })
             .unwrap();
         assert_eq!(stats.bank_conflicts, 0);
         assert!(stats.shared_stores > 0);

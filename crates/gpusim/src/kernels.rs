@@ -156,10 +156,7 @@ mod tests {
         let input = gpu.alloc_filled(256, 1.0f64);
         let out = gpu.alloc_filled(1, 0.0f64);
         let cfg = LaunchConfig::cover1d(256, 64);
-        let opts = crate::launch::LaunchOptions {
-            detect_races: true,
-            ..Default::default()
-        };
+        let opts = crate::launch::LaunchOptions { detect_races: true };
         let stats = gpu
             .launch_with(cfg, opts, |t| {
                 out.atomic_add(t, 0, input.read(t, t.global_x()));

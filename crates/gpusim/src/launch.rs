@@ -1,15 +1,24 @@
-//! The launch engine: grid iteration, host-parallel block execution,
-//! counter aggregation, and optional data-race detection.
+//! The launch engine: grid iteration, counter aggregation, and optional
+//! data-race detection.
+//!
+//! One block engine serves both launch kinds. It hands the grid's blocks
+//! out one at a time to the device's `perfport-pool` workers, stops
+//! handing them out after the first fault, and merges the per-block
+//! [`LaunchStats`]. Only the block bodies differ: the plain warp loop
+//! here, and the barrier-phase loop in [`crate::cooperative`].
 
 use crate::buffer::{DeviceBuffer, DeviceCopy};
-use crate::coalesce::analyze_warp;
 use crate::ctx::{Access, ThreadCtx};
 use crate::device::DeviceClass;
 use crate::dim::Dim3;
 use crate::stats::LaunchStats;
 use parking_lot::Mutex;
+use perfport_pool::{Schedule, ThreadPool};
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -66,13 +75,11 @@ impl LaunchConfig {
 /// Knobs for one launch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LaunchOptions {
-    /// Host threads used to simulate blocks in parallel; `0` = one per
-    /// available core.
-    pub host_threads: usize,
     /// Record every thread's accesses and report write-write or
-    /// cross-thread read-write sharing. Forces serial simulation; intended
-    /// for kernel debugging at small sizes (compare `compute-sanitizer
-    /// --tool racecheck`).
+    /// cross-thread read-write sharing. Runs the blocks serially on the
+    /// calling thread instead of the device's workers; intended for kernel
+    /// debugging at small sizes (compare `compute-sanitizer --tool
+    /// racecheck`).
     pub detect_races: bool,
 }
 
@@ -124,6 +131,10 @@ impl std::error::Error for LaunchError {}
 
 /// A simulated GPU: an address space for buffers plus the launch engine.
 ///
+/// Each device owns a `perfport-pool` team, one worker per available
+/// core, that simulates the grid's blocks; the workers are joined when the
+/// device drops. A kernel must not launch on its own device.
+///
 /// ```
 /// use perfport_gpusim::{DeviceClass, Gpu, LaunchConfig};
 ///
@@ -146,6 +157,7 @@ pub struct Gpu {
     class: DeviceClass,
     next_base: AtomicU64,
     next_id: AtomicU32,
+    pool: ThreadPool,
 }
 
 /// Alignment of simulated allocations (matches `cudaMalloc`'s 256-byte
@@ -155,10 +167,12 @@ const ALLOC_ALIGN: u64 = 256;
 impl Gpu {
     /// Creates a device of the given class.
     pub fn new(class: DeviceClass) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
         Gpu {
             class,
             next_base: AtomicU64::new(ALLOC_ALIGN),
             next_id: AtomicU32::new(0),
+            pool: ThreadPool::new(workers),
         }
     }
 
@@ -177,7 +191,7 @@ impl Gpu {
     /// Copies a host slice into a fresh device buffer (`cudaMemcpy` H2D).
     pub fn alloc_from_slice<T: DeviceCopy>(&self, host: &[T]) -> DeviceBuffer<T> {
         let (id, base) = self.bump(std::mem::size_of_val(host) as u64);
-        DeviceBuffer::new(id, base, host.to_vec())
+        DeviceBuffer::new(id, base, host.iter().copied())
     }
 
     /// Allocates `len` elements initialised to `value`.
@@ -215,113 +229,40 @@ impl Gpu {
     {
         cfg.validate(self.class)?;
         let mut sp = perfport_trace::span("gpu", "launch");
-        let start = Instant::now();
-        let class = self.class;
-        let warp = class.warp_size() as u64;
-        let line_bytes = class.transaction_bytes();
-        let threads_per_block = cfg.block.count();
-        let warps_per_block = threads_per_block.div_ceil(warp);
-        let n_blocks = cfg.grid.count();
-
-        let host_threads = if opts.detect_races {
-            1
-        } else {
-            let avail = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            let requested = if opts.host_threads == 0 {
-                avail
-            } else {
-                opts.host_threads
-            };
-            requested.min(n_blocks as usize).max(1)
-        };
-
-        let next_block = AtomicU64::new(0);
-        let totals = Mutex::new(LaunchStats {
-            line_bytes,
-            ..Default::default()
-        });
+        let geom = BlockGeometry::new(self.class, cfg);
         let race_log: Mutex<Vec<(u64, Vec<Access>)>> = Mutex::new(Vec::new());
-        // First kernel panic, preserved so the caller sees the original
-        // message (e.g. the illegal-address fault) instead of the scope's
-        // generic one.
-        let fault: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-        std::thread::scope(|s| {
-            for _ in 0..host_threads {
-                s.spawn(|| {
-                    let mut local = LaunchStats {
-                        line_bytes,
-                        ..Default::default()
-                    };
-                    let mut lanes: Vec<Vec<Access>> = Vec::with_capacity(warp as usize);
-                    loop {
-                        if fault.lock().is_some() {
-                            break;
-                        }
-                        let b = next_block.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_blocks {
-                            break;
-                        }
-                        let block_idx = cfg.grid.delinearize(b);
-                        local.blocks += 1;
-                        for w in 0..warps_per_block {
-                            local.warps += 1;
-                            lanes.clear();
-                            let lane_count = warp.min(threads_per_block - w * warp);
-                            for lane in 0..lane_count {
-                                let lin = w * warp + lane;
-                                let thread_idx = cfg.block.delinearize(lin);
-                                let ctx = ThreadCtx::new(
-                                    class, cfg.grid, cfg.block, block_idx, thread_idx,
-                                );
-                                let global_id = ctx.global_linear();
-                                if let Err(payload) =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        kernel(&ctx)
-                                    }))
-                                {
-                                    let mut slot = fault.lock();
-                                    if slot.is_none() {
-                                        *slot = Some(payload);
-                                    }
-                                    return;
-                                }
-                                let (obs, log) = ctx.take_observations();
-                                local.flops += obs.flops;
-                                local.atomic_ops += obs.atomics;
-                                local.threads += 1;
-                                if opts.detect_races {
-                                    race_log.lock().push((global_id, log.clone()));
-                                }
-                                lanes.push(log);
-                            }
-                            let summary = analyze_warp(&lanes, line_bytes);
-                            local.absorb_warp(&summary);
-                        }
+        let stats = self.run_blocks(cfg.grid, opts.detect_races, |block_idx| {
+            let mut local = geom.block_stats();
+            let mut lanes: Vec<Vec<Access>> = Vec::with_capacity(geom.warp as usize);
+            for w in 0..geom.warps_per_block {
+                lanes.clear();
+                for lin in geom.warp_lanes(w) {
+                    let ctx = geom.thread(block_idx, lin);
+                    kernel(&ctx);
+                    let global_id = ctx.global_linear();
+                    let log = local.absorb_thread(ctx);
+                    if opts.detect_races {
+                        race_log.lock().push((global_id, log.clone()));
                     }
-                    totals.lock().merge(&local);
-                });
+                    lanes.push(log);
+                }
+                local.threads += lanes.len() as u64;
+                local.absorb_warp(&lanes);
             }
-        });
-
-        if let Some(payload) = fault.into_inner() {
-            std::panic::resume_unwind(payload);
-        }
+            Ok(local)
+        })?;
 
         if opts.detect_races {
             check_races(&race_log.into_inner())?;
         }
 
-        let mut stats = totals.into_inner();
-        stats.sim_time = start.elapsed();
         if sp.is_recording() {
-            let occ = crate::occupancy::occupancy(class, threads_per_block as u32, 0);
+            let class = self.class;
+            let occ = crate::occupancy::occupancy(class, geom.threads_per_block as u32, 0);
             sp.arg("class", format!("{class:?}"));
             sp.arg("grid", cfg.grid.to_string());
             sp.arg("block", cfg.block.to_string());
-            sp.arg("host_threads", host_threads);
             sp.arg("blocks", stats.blocks);
             sp.arg("threads", stats.threads);
             sp.arg("flops", stats.flops);
@@ -338,6 +279,131 @@ impl Gpu {
             perfport_trace::counter("gpu", "occupancy", occ.fraction);
         }
         Ok(stats)
+    }
+
+    /// The block engine behind every launch: runs `block` once per block
+    /// of `grid` and merges the per-block stats.
+    ///
+    /// Blocks are handed out one at a time (`Schedule::Dynamic { chunk: 1 }`)
+    /// to the device's workers, or run in order on the calling thread when
+    /// `serial`. After the first fault no further block starts. A kernel
+    /// panic is caught inside the block — the pool never sees a poisoned
+    /// region — and re-raised here with its original payload (e.g. the
+    /// illegal-address message); an `Err` from a block is returned.
+    pub(crate) fn run_blocks<B>(
+        &self,
+        grid: Dim3,
+        serial: bool,
+        block: B,
+    ) -> Result<LaunchStats, LaunchError>
+    where
+        B: Fn(Dim3) -> Result<LaunchStats, LaunchError> + Sync,
+    {
+        let start = Instant::now();
+        let fault: Mutex<Option<Fault>> = Mutex::new(None);
+        let run = |b: usize| {
+            if fault.lock().is_some() {
+                return None;
+            }
+            let failure = match catch_unwind(AssertUnwindSafe(|| block(grid.delinearize(b as u64))))
+            {
+                Ok(Ok(stats)) => return Some(stats),
+                Ok(Err(err)) => Fault::Error(err),
+                Err(payload) => Fault::Panic(payload),
+            };
+            fault.lock().get_or_insert(failure);
+            None
+        };
+        let n_blocks = grid.count() as usize;
+        let per_block: Vec<Option<LaunchStats>> = if serial {
+            (0..n_blocks).map(run).collect()
+        } else {
+            self.pool
+                .parallel_map(n_blocks, Schedule::Dynamic { chunk: 1 }, run)
+        };
+        match fault.into_inner() {
+            Some(Fault::Panic(payload)) => resume_unwind(payload),
+            Some(Fault::Error(err)) => return Err(err),
+            None => {}
+        }
+
+        let mut stats = LaunchStats {
+            line_bytes: self.class.transaction_bytes(),
+            ..Default::default()
+        };
+        for local in per_block.iter().flatten() {
+            stats.merge(local);
+        }
+        stats.sim_time = start.elapsed();
+        for (name, value) in [
+            ("gpusim/launches", 1),
+            ("gpusim/blocks", stats.blocks),
+            ("gpusim/warps", stats.warps),
+            ("gpusim/divergent_warps", stats.divergent_warps),
+            ("gpusim/load_transactions", stats.load_transactions),
+            ("gpusim/store_transactions", stats.store_transactions),
+        ] {
+            perfport_telemetry::counter_add(name, value);
+        }
+        Ok(stats)
+    }
+}
+
+/// The first failure of a launch.
+enum Fault {
+    /// A kernel thread panicked; the payload is re-raised on the caller.
+    Panic(Box<dyn Any + Send>),
+    /// A block body reported an error.
+    Error(LaunchError),
+}
+
+/// What both block bodies need to know about a launch's shape.
+pub(crate) struct BlockGeometry {
+    class: DeviceClass,
+    cfg: LaunchConfig,
+    /// Lanes per warp (wavefront).
+    pub(crate) warp: u64,
+    pub(crate) threads_per_block: u64,
+    pub(crate) warps_per_block: u64,
+}
+
+impl BlockGeometry {
+    pub(crate) fn new(class: DeviceClass, cfg: LaunchConfig) -> Self {
+        let warp = class.warp_size() as u64;
+        let threads_per_block = cfg.block.count();
+        BlockGeometry {
+            class,
+            cfg,
+            warp,
+            threads_per_block,
+            warps_per_block: threads_per_block.div_ceil(warp),
+        }
+    }
+
+    /// Fresh stats for one block, at the device's transaction size.
+    pub(crate) fn block_stats(&self) -> LaunchStats {
+        LaunchStats {
+            blocks: 1,
+            line_bytes: self.class.transaction_bytes(),
+            ..Default::default()
+        }
+    }
+
+    /// In-block linear ids of warp `w`'s lanes.
+    pub(crate) fn warp_lanes(&self, w: u64) -> Range<u64> {
+        w * self.warp..self.threads_per_block.min((w + 1) * self.warp)
+    }
+
+    /// The context of in-block thread `lin` of block `block_idx`.
+    pub(crate) fn thread(&self, block_idx: Dim3, lin: u64) -> ThreadCtx {
+        let thread_idx = self.cfg.block.delinearize(lin);
+        ThreadCtx::new(
+            self.class,
+            self.cfg.grid,
+            self.cfg.block,
+            block_idx,
+            thread_idx,
+        )
     }
 }
 
@@ -504,10 +570,7 @@ mod tests {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
         let buf = gpu.alloc_filled(1, 0u32);
         let cfg = LaunchConfig::cover1d(64, 32);
-        let opts = LaunchOptions {
-            detect_races: true,
-            ..Default::default()
-        };
+        let opts = LaunchOptions { detect_races: true };
         let err = gpu
             .launch_with(cfg, opts, |t| {
                 buf.write(t, 0, t.global_x() as u32);
@@ -521,10 +584,7 @@ mod tests {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
         let buf = gpu.alloc_filled(64, 0u32);
         let cfg = LaunchConfig::cover1d(64, 32);
-        let opts = LaunchOptions {
-            detect_races: true,
-            ..Default::default()
-        };
+        let opts = LaunchOptions { detect_races: true };
         let err = gpu
             .launch_with(cfg, opts, |t| {
                 let i = t.global_x();
@@ -542,10 +602,7 @@ mod tests {
         let a = gpu.alloc_filled(64, 1u32);
         let b = gpu.alloc_filled(64, 0u32);
         let cfg = LaunchConfig::cover1d(64, 32);
-        let opts = LaunchOptions {
-            detect_races: true,
-            ..Default::default()
-        };
+        let opts = LaunchOptions { detect_races: true };
         let stats = gpu
             .launch_with(cfg, opts, |t| {
                 let i = t.global_x();
@@ -557,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_host_parallelism() {
+    fn serial_and_pooled_launches_agree() {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
         let n = 4096;
         let src = gpu.alloc_from_slice(&(0..n).map(|i| i as f32).collect::<Vec<_>>());
@@ -565,28 +622,47 @@ mod tests {
         let d2 = gpu.alloc_filled(n, 0.0f32);
         let cfg = LaunchConfig::cover1d(n as u32, 128);
         let serial = gpu
-            .launch_with(
-                cfg,
-                LaunchOptions {
-                    host_threads: 1,
-                    detect_races: false,
-                },
-                |t| {
-                    let i = t.global_x();
-                    d1.write(t, i, src.read(t, i) * 3.0);
-                },
-            )
+            .launch_with(cfg, LaunchOptions { detect_races: true }, |t| {
+                let i = t.global_x();
+                d1.write(t, i, src.read(t, i) * 3.0);
+            })
             .unwrap();
-        let parallel = gpu
+        let pooled = gpu
             .launch(cfg, |t| {
                 let i = t.global_x();
                 d2.write(t, i, src.read(t, i) * 3.0);
             })
             .unwrap();
         assert_eq!(d1.to_host(), d2.to_host());
-        assert_eq!(serial.loads, parallel.loads);
-        assert_eq!(serial.load_transactions, parallel.load_transactions);
-        assert_eq!(serial.divergent_warps, parallel.divergent_warps);
+        assert_eq!(serial.loads, pooled.loads);
+        assert_eq!(serial.load_transactions, pooled.load_transactions);
+        assert_eq!(serial.divergent_warps, pooled.divergent_warps);
+    }
+
+    #[test]
+    fn a_fault_stops_the_launch_and_keeps_its_message() {
+        let gpu = Gpu::new(DeviceClass::NvidiaLike);
+        let buf = gpu.alloc_filled(64, 0u32);
+        let started = AtomicU64::new(0);
+        let cfg = LaunchConfig::cover1d(64 * 256, 64);
+        let fault = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            gpu.launch(cfg, |t| {
+                if t.linear_in_block() == 0 {
+                    started.fetch_add(1, Ordering::Relaxed);
+                }
+                // Block 0 is in bounds; every later block faults at once.
+                let i = if t.block_idx.x == 0 { t.global_x() } else { 64 };
+                buf.read(t, i);
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(
+            perfport_telemetry::panic_message(&*fault),
+            "illegal device address: load at index 64 of buffer 0 (len 64)"
+        );
+        // Besides block 0, each worker starts at most one (faulting) block.
+        let team = gpu.pool.num_threads() as u64;
+        assert!(started.into_inner() <= 1 + team, "blocks kept running");
     }
 
     #[test]

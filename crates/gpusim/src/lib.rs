@@ -27,6 +27,8 @@
 //! phase *p* before any enters phase *p + 1*, which realises barrier
 //! semantics deterministically without one OS thread per GPU thread.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod coalesce;
 pub mod cooperative;

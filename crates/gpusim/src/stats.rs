@@ -1,6 +1,7 @@
 //! Aggregated launch statistics — the simulator's `nvprof` output.
 
-use crate::coalesce::WarpSummary;
+use crate::coalesce::analyze_warp;
+use crate::ctx::{Access, ThreadCtx};
 use std::time::Duration;
 
 /// Counters aggregated over one kernel launch.
@@ -49,7 +50,20 @@ pub struct LaunchStats {
 }
 
 impl LaunchStats {
-    pub(crate) fn absorb_warp(&mut self, w: &WarpSummary) {
+    /// Adds one finished thread's flop and atomic tallies and returns its
+    /// access log for the warp analysis.
+    pub(crate) fn absorb_thread(&mut self, ctx: ThreadCtx) -> Vec<Access> {
+        let (obs, log) = ctx.take_observations();
+        self.flops += obs.flops;
+        self.atomic_ops += obs.atomics;
+        log
+    }
+
+    /// Counts one executed warp and adds its coalescing and divergence
+    /// analysis.
+    pub(crate) fn absorb_warp(&mut self, lanes: &[Vec<Access>]) {
+        let w = analyze_warp(lanes, self.line_bytes);
+        self.warps += 1;
         self.loads += w.loads;
         self.stores += w.stores;
         self.load_transactions += w.load_transactions;
@@ -128,17 +142,18 @@ mod tests {
             line_bytes: 128,
             ..Default::default()
         };
-        a.absorb_warp(&WarpSummary {
-            loads: 32,
-            stores: 8,
-            load_transactions: 2,
-            store_transactions: 1,
-            load_bytes: 128,
-            store_bytes: 32,
-            divergent: true,
-            active: true,
-        });
-        assert_eq!(a.loads, 32);
+        // Two lanes load adjacent f32s from one line; a third lane is
+        // masked off, so the warp diverged.
+        let load = |addr| Access {
+            addr,
+            bytes: 4,
+            store: false,
+            atomic: false,
+        };
+        a.absorb_warp(&[vec![load(0)], vec![load(4)], vec![]]);
+        assert_eq!(a.warps, 1);
+        assert_eq!(a.load_transactions, 1);
+        assert_eq!(a.loads, 2);
         assert_eq!(a.divergent_warps, 1);
         assert_eq!(a.active_warps, 1);
 
@@ -151,7 +166,8 @@ mod tests {
             ..Default::default()
         };
         b.merge(&a);
-        assert_eq!(b.loads, 32);
+        assert_eq!(b.loads, 2);
+        assert_eq!(b.warps, 5);
         assert_eq!(b.blocks, 2);
         assert_eq!(b.flops, 100);
     }

@@ -62,7 +62,8 @@ proptest! {
     }
 
     /// Determinism: any race-free kernel produces identical results and
-    /// counters under serial and parallel host execution.
+    /// counters whether its blocks run serially on the calling thread (the
+    /// race detector's path) or on the device's worker pool.
     #[test]
     fn host_parallelism_invariance(n in 1usize..1500, block in 1u32..129) {
         let gpu = Gpu::new(DeviceClass::NvidiaLike);
@@ -71,17 +72,16 @@ proptest! {
         let d2 = gpu.alloc_filled(n, 0.0f32);
         let cfg = LaunchConfig::cover1d(n as u32, block);
         let serial = gpu.launch_with(cfg,
-            perfport_gpusim::LaunchOptions { host_threads: 1, detect_races: false },
+            perfport_gpusim::LaunchOptions { detect_races: true },
             |t| { let i = t.global_x(); if i < n { d1.write(t, i, src.read(t, i) + i as f32); } },
         ).unwrap();
-        let parallel = gpu.launch_with(cfg,
-            perfport_gpusim::LaunchOptions { host_threads: 3, detect_races: false },
+        let pooled = gpu.launch(cfg,
             |t| { let i = t.global_x(); if i < n { d2.write(t, i, src.read(t, i) + i as f32); } },
         ).unwrap();
         prop_assert_eq!(d1.to_host(), d2.to_host());
-        prop_assert_eq!(serial.load_transactions, parallel.load_transactions);
-        prop_assert_eq!(serial.divergent_warps, parallel.divergent_warps);
-        prop_assert_eq!(serial.flops, parallel.flops);
+        prop_assert_eq!(serial.load_transactions, pooled.load_transactions);
+        prop_assert_eq!(serial.divergent_warps, pooled.divergent_warps);
+        prop_assert_eq!(serial.flops, pooled.flops);
     }
 
     /// The race detector never fires on an embarrassingly parallel
@@ -92,7 +92,7 @@ proptest! {
         let buf = gpu.alloc_filled(n, 0u64);
         let cfg = LaunchConfig::cover1d(n as u32, block);
         let result = gpu.launch_with(cfg,
-            perfport_gpusim::LaunchOptions { host_threads: 0, detect_races: true },
+            perfport_gpusim::LaunchOptions { detect_races: true },
             |t| { let i = t.global_x(); if i < n { buf.write(t, i, i as u64); } },
         );
         prop_assert!(result.is_ok(), "{result:?}");

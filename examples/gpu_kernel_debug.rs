@@ -52,20 +52,15 @@ fn main() {
         bad.coalescing_efficiency() * 100.0
     );
 
-    // Now a buggy kernel: every thread writes slot i % 64.
-    let racy = gpu.launch_with(
-        cfg,
-        LaunchOptions {
-            detect_races: true,
-            ..Default::default()
-        },
-        |t| {
-            let i = t.global_x();
-            if i < n {
-                dst.write(t, i % 64, 1.0);
-            }
-        },
-    );
+    // Now a buggy kernel: every thread writes slot i % 64. The race
+    // detector records every access, so it runs the blocks serially on
+    // this thread instead of the device's worker pool.
+    let racy = gpu.launch_with(cfg, LaunchOptions { detect_races: true }, |t| {
+        let i = t.global_x();
+        if i < n {
+            dst.write(t, i % 64, 1.0);
+        }
+    });
     match racy {
         Err(LaunchError::DataRace {
             addr,

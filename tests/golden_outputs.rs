@@ -92,3 +92,64 @@ fn fig7c_csv_matches_golden() {
         .expect("fig7c registered");
     check_golden("fig7c_quick.csv", &render_csv(&spec.run(&cfg)));
 }
+
+/// Every deterministic `LaunchStats` counter (all fields but the host
+/// wall time `sim_time`) of the paper's GPU kernels at n = 96 on both
+/// device classes: the naive CUDA/HIP kernels, the shared-memory tiled
+/// kernel, and the FP16-in/FP32-accumulate tensor-core path. Pins the
+/// simulator's counters independently of how its blocks are scheduled
+/// on the host.
+#[test]
+fn gpusim_launch_stats_match_golden() {
+    use perfport::gemm::{gpu_gemm_mixed, gpu_gemm_tiled_mixed, GpuVariant, Layout, Matrix};
+    use perfport::gpusim::{DeviceClass, Dim3, Gpu, LaunchStats};
+    use perfport::half::F16;
+
+    fn line(kernel: &str, class: DeviceClass, s: &LaunchStats) -> String {
+        format!(
+            "{kernel} {class:?}: blocks={} warps={} threads={} flops={} loads={} stores={} \
+             load_transactions={} store_transactions={} load_bytes={} store_bytes={} \
+             atomic_ops={} divergent_warps={} active_warps={} shared_loads={} \
+             shared_stores={} bank_conflicts={} phases={} line_bytes={}\n",
+            s.blocks,
+            s.warps,
+            s.threads,
+            s.flops,
+            s.loads,
+            s.stores,
+            s.load_transactions,
+            s.store_transactions,
+            s.load_bytes,
+            s.store_bytes,
+            s.atomic_ops,
+            s.divergent_warps,
+            s.active_warps,
+            s.shared_loads,
+            s.shared_stores,
+            s.bank_conflicts,
+            s.phases,
+            s.line_bytes,
+        )
+    }
+
+    let n = 96;
+    let a = Matrix::<f64>::random(n, n, Layout::RowMajor, 1);
+    let b = Matrix::<f64>::random(n, n, Layout::RowMajor, 2);
+    let (ah, bh): (Matrix<F16>, Matrix<F16>) = (a.cast(), b.cast());
+    let block = Dim3::d2(32, 32);
+    let mut out = String::new();
+    for class in [DeviceClass::NvidiaLike, DeviceClass::AmdLike] {
+        let gpu = Gpu::new(class);
+        for variant in [GpuVariant::Cuda, GpuVariant::Hip] {
+            let (_, s) = gpu_gemm_mixed::<f64, f64>(&gpu, variant, &a, &b, block).unwrap();
+            out += &line(&format!("naive-{variant}-fp64"), class, &s);
+            let (_, s) = gpu_gemm_mixed::<F16, f32>(&gpu, variant, &ah, &bh, block).unwrap();
+            out += &line(&format!("naive-{variant}-fp16-fp32"), class, &s);
+        }
+        let (_, s) = gpu_gemm_tiled_mixed::<f64, f64>(&gpu, &a, &b).unwrap();
+        out += &line("tiled-fp64", class, &s);
+        let (_, s) = gpu_gemm_tiled_mixed::<F16, f32>(&gpu, &ah, &bh).unwrap();
+        out += &line("tensor-core-fp16-fp32", class, &s);
+    }
+    check_golden("gpusim_launch_stats_quick.txt", &out);
+}
