@@ -47,14 +47,14 @@ struct Measured {
 
 fn measure(reps: usize, flops: u64, mut run: impl FnMut()) -> Measured {
     run(); // warm-up, excluded (the paper's protocol)
-    let hw_before = obs::totals();
+    let hw_before = perfport_telemetry::snapshot();
     let mut rates = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Instant::now();
         run();
         rates.push(flops as f64 / t0.elapsed().as_secs_f64() / 1e9);
     }
-    let hw = obs::enabled().then(|| obs::totals().delta(&hw_before));
+    let hw = obs::enabled().then(|| obs::Totals::since(&hw_before));
     let mean = rates.iter().sum::<f64>() / reps as f64;
     let (min, max) = rates
         .iter()

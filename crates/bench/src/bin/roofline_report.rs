@@ -111,13 +111,13 @@ fn main() {
 /// timed reps.
 fn measure(reps: usize, n: usize, run: &dyn Fn()) -> (f64, obs::Totals) {
     run(); // warm-up excluded, as everywhere in this harness
-    let before = obs::totals();
+    let before = perfport_telemetry::snapshot();
     let t0 = Instant::now();
     for _ in 0..reps {
         run();
     }
     let per_rep = t0.elapsed().as_secs_f64() / reps as f64;
-    let hw = obs::totals().delta(&before);
+    let hw = obs::Totals::since(&before);
     (gemm_flops(n, n, n) as f64 / per_rep / 1e9, hw)
 }
 

@@ -148,7 +148,7 @@ impl Manifest {
     /// spaces per line (no trailing newline).
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
-        let esc = perfport_trace::json::escape;
+        let esc = perfport_telemetry::snapshot::escape;
         let mut out = String::new();
         let _ = writeln!(out, "{pad}{{");
         let _ = writeln!(out, "{pad}  \"schema\": \"{MANIFEST_SCHEMA}\",");

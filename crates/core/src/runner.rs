@@ -64,11 +64,24 @@ pub fn run_experiment(exp: &Experiment) -> Result<ExperimentResult, RunError> {
         Support::Partial(why) => Some(why.to_string()),
         Support::Supported => None,
     };
-    if exp.arch.is_gpu() {
-        run_gpu(exp, note)
+    let result = if exp.arch.is_gpu() {
+        run_gpu(exp, note)?
     } else {
-        run_cpu(exp, note)
+        run_cpu(exp, note)?
+    };
+    // The warm-up time the measurement protocol excludes (first
+    // iteration + JIT where applicable): the evidence behind the
+    // paper's "first-run excluded" methodology.
+    if sp.is_recording() {
+        let jit_s = if exp.arch.is_gpu() {
+            gpu_profile(exp.model).jit_warmup_s
+        } else {
+            cpu_profile(exp.model).jit_warmup_s
+        };
+        sp.arg("warmup_excluded_s", result.warmup_excluded_s);
+        sp.arg("jit_warmup_s", jit_s);
     }
+    Ok(result)
 }
 
 /// Whether this combination uses the paper's ones-filled-input fallback
@@ -208,7 +221,6 @@ fn run_cpu(exp: &Experiment, note: Option<String>) -> Result<ExperimentResult, R
     }
 
     let warmup = profile.jit_warmup_s + points.first().map_or(0.0, |p| p.seconds);
-    record_warmup(warmup, profile.jit_warmup_s);
     Ok(ExperimentResult {
         experiment: exp.clone(),
         points,
@@ -310,7 +322,6 @@ fn run_gpu(exp: &Experiment, note: Option<String>) -> Result<ExperimentResult, R
     }
 
     let warmup = profile.jit_warmup_s + points.first().map_or(0.0, |p| p.seconds);
-    record_warmup(warmup, profile.jit_warmup_s);
     Ok(ExperimentResult {
         experiment: exp.clone(),
         points,
@@ -391,28 +402,8 @@ fn size_point_traced(
         sp.arg("gflops", point.gflops);
         sp.arg("modelled_seconds", modelled_seconds);
         sp.arg("bound", format!("{:?}", bound));
-        perfport_trace::counter("runner", "gflops", point.gflops);
-        for s in &point.samples {
-            perfport_trace::counter("runner", "rep_gflops", *s);
-        }
     }
     point
-}
-
-/// Marks the warm-up time the measurement protocol excludes (first
-/// iteration + JIT where applicable) — the evidence behind the paper's
-/// "first-run excluded" methodology.
-fn record_warmup(total_s: f64, jit_s: f64) {
-    if perfport_trace::enabled() {
-        perfport_trace::instant(
-            "runner",
-            "warmup_excluded",
-            vec![
-                ("seconds".to_string(), total_s.into()),
-                ("jit_seconds".to_string(), jit_s.into()),
-            ],
-        );
-    }
 }
 
 fn timed_point(

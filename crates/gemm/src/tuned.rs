@@ -392,8 +392,8 @@ pub fn with_thread_arena<T: Scalar, R>(f: impl FnOnce(&mut PackArena<T>) -> R) -
 
 // ---------------------------------------------------------- counters --
 
-/// Instrumentation of one tuned-GEMM invocation, exported through
-/// `perfport-trace` by the public entry points.
+/// Instrumentation of one tuned-GEMM invocation, recorded as the
+/// `gemm/*` telemetry counters by the public entry points.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TunedStats {
     /// Bytes copied into packed `A` blocks.
@@ -405,29 +405,11 @@ pub struct TunedStats {
 }
 
 impl TunedStats {
-    fn emit(&self, tile: TileShape, isa: Isa) {
+    fn emit(&self) {
         perfport_telemetry::counter_add("gemm/invocations", 1);
         perfport_telemetry::counter_add("gemm/pack_a_bytes", self.pack_a_bytes);
         perfport_telemetry::counter_add("gemm/pack_b_bytes", self.pack_b_bytes);
         perfport_telemetry::counter_add("gemm/microkernel_calls", self.microkernel_calls);
-        if perfport_trace::enabled() {
-            perfport_trace::counter("gemm", "tuned_pack_a_bytes", self.pack_a_bytes as f64);
-            perfport_trace::counter("gemm", "tuned_pack_b_bytes", self.pack_b_bytes as f64);
-            perfport_trace::counter(
-                "gemm",
-                "tuned_microkernel_calls",
-                self.microkernel_calls as f64,
-            );
-            perfport_trace::instant(
-                "gemm",
-                "tuned_tile",
-                vec![
-                    ("mr".to_string(), (tile.mr as u64).into()),
-                    ("nr".to_string(), (tile.nr as u64).into()),
-                    ("isa".to_string(), isa.name().into()),
-                ],
-            );
-        }
     }
 }
 
@@ -1042,7 +1024,7 @@ pub fn gemm_serial_with_isa<T: Scalar>(
     let rows = 0..shape.0;
     let ds = DisjointSlice::new(c.as_mut_slice());
     let stats = gemm_rows_with_isa(a, b, &ds, shape, layout, rows, params, arena, isa);
-    stats.emit(params.tile, isa);
+    stats.emit();
     stats
 }
 
@@ -1051,7 +1033,7 @@ pub fn gemm_serial_with_isa<T: Scalar>(
 /// `C`, each worker running the blocked loop nest over its merged row
 /// range with its own thread-local [`PackArena`]. Returns the region
 /// instrumentation; the packing/microkernel counters go to
-/// `perfport-telemetry` and `perfport-trace`. Results are
+/// `perfport-telemetry`. Results are
 /// bitwise-identical across team sizes and to [`gemm_serial`].
 pub fn gemm<T: Scalar>(
     pool: &ThreadPool,
@@ -1104,7 +1086,7 @@ pub fn gemm<T: Scalar>(
         pack_b_bytes: pack_b_total.into_inner(),
         microkernel_calls: micro_total.into_inner(),
     };
-    totals.emit(params.tile, isa);
+    totals.emit();
     region
 }
 

@@ -269,14 +269,9 @@ impl Gpu {
             sp.arg("load_transactions", stats.load_transactions);
             sp.arg("store_transactions", stats.store_transactions);
             sp.arg("divergent_warps", stats.divergent_warps);
+            sp.arg("coalescing_efficiency", stats.coalescing_efficiency());
             sp.arg("occupancy", occ.fraction);
             sp.arg("occupancy_limiter", format!("{:?}", occ.limiter));
-            perfport_trace::counter(
-                "gpu",
-                "coalescing_efficiency",
-                stats.coalescing_efficiency(),
-            );
-            perfport_trace::counter("gpu", "occupancy", occ.fraction);
         }
         Ok(stats)
     }

@@ -15,22 +15,24 @@
 //!   cached [`Availability::Unavailable`] with the OS's reason, and every
 //!   instrumentation site stays a single relaxed atomic load. Timing-only
 //!   output is unchanged.
-//! - **One sink.** Measured deltas are emitted as `perfport-trace`
-//!   counters (category `"hw"`), so the JSONL, Chrome, and text-summary
-//!   exporters pick them up with no extra plumbing, and aggregated into
-//!   process-wide [`Totals`] for the bench manifests.
+//! - **One sink.** Measured deltas are added to the `perfport-telemetry`
+//!   counters `hw/<event>` and `hw/scopes`, so snapshots, Prometheus
+//!   text and every trace session's telemetry delta (`hw:*` rows) carry
+//!   them with no extra plumbing. [`Totals`] is the derived-rate view of
+//!   a snapshot delta. A telemetry `stub` build records no `hw/*`
+//!   counts.
 //!
 //! # Quickstart
 //!
 //! ```
 //! // Ask for counters; fine either way — unavailable hosts keep timing.
 //! let avail = perfport_obs::try_enable();
-//! let before = perfport_obs::totals();
+//! let before = perfport_telemetry::snapshot();
 //! {
 //!     let _scope = perfport_obs::thread_scope();
 //!     // ... hot work on this thread ...
 //! }
-//! let delta = perfport_obs::totals().delta(&before);
+//! let delta = perfport_obs::Totals::since(&before);
 //! if avail.is_available() {
 //!     println!("IPC {:?}", delta.ipc());
 //! }
@@ -41,7 +43,8 @@ mod perf;
 
 pub use perf::RawSample;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use perfport_telemetry::Snapshot;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Environment variable that forces [`probe`] to report counters as
@@ -77,7 +80,7 @@ impl HwCounter {
         HwCounter::BranchMisses,
     ];
 
-    /// Stable snake_case name used for trace counters and manifests.
+    /// Stable snake_case name: the telemetry counter is `hw/<name>`.
     pub fn name(self) -> &'static str {
         match self {
             HwCounter::Cycles => "cycles",
@@ -229,8 +232,9 @@ impl Sample {
     }
 }
 
-/// Process-wide accumulated (multiplexing-corrected) counts, summed over
-/// every recorded scope on every thread. This is what bench manifests
+/// Multiplexing-corrected counts summed over every scope that dropped
+/// between two telemetry snapshots — the `hw/*` counters of a
+/// [`Snapshot`] delta, with derived rates. This is what bench manifests
 /// and the measured-roofline mode read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Totals {
@@ -241,22 +245,21 @@ pub struct Totals {
 }
 
 impl Totals {
+    /// Everything recorded since `before`, a [`perfport_telemetry::snapshot()`]:
+    /// the `hw/*` counters of the delta — the usual way to attribute
+    /// counts to one phase of a run.
+    pub fn since(before: &Snapshot) -> Totals {
+        let delta = perfport_telemetry::snapshot().delta_since(before);
+        let get = |key: &str| delta.counters.get(key).copied().unwrap_or(0);
+        Totals {
+            counts: HwCounter::ALL.map(|c| get(&format!("hw/{}", c.name()))),
+            scopes: get(SCOPES_KEY),
+        }
+    }
+
     /// Count for one event.
     pub fn get(&self, c: HwCounter) -> u64 {
         self.counts[c.idx()]
-    }
-
-    /// Element-wise difference since `earlier` — the usual way to
-    /// attribute counts to one phase of a run.
-    pub fn delta(&self, earlier: &Totals) -> Totals {
-        let mut out = Totals {
-            counts: [0; HwCounter::COUNT],
-            scopes: self.scopes.saturating_sub(earlier.scopes),
-        };
-        for i in 0..HwCounter::COUNT {
-            out.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        out
     }
 
     /// Instructions per cycle, if both counted.
@@ -281,40 +284,15 @@ impl Totals {
     }
 }
 
-static TOTALS: [AtomicU64; HwCounter::COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static TOTAL_SCOPES: AtomicU64 = AtomicU64::new(0);
+/// Telemetry counter holding the number of scopes that recorded.
+const SCOPES_KEY: &str = "hw/scopes";
 
-/// Snapshot of the process-wide accumulated counts.
-pub fn totals() -> Totals {
-    let mut out = Totals {
-        counts: [0; HwCounter::COUNT],
-        scopes: TOTAL_SCOPES.load(Ordering::Relaxed),
-    };
-    for (slot, total) in out.counts.iter_mut().zip(&TOTALS) {
-        *slot = total.load(Ordering::Relaxed);
+/// Adds one scope's scaled delta to the telemetry registry.
+fn record(delta: &Sample) {
+    for c in HwCounter::ALL {
+        perfport_telemetry::counter_add(&format!("hw/{}", c.name()), delta.scaled(c));
     }
-    out
-}
-
-/// Resets the process-wide totals to zero (bench phase boundaries).
-pub fn reset_totals() {
-    for t in &TOTALS {
-        t.store(0, Ordering::Relaxed);
-    }
-    TOTAL_SCOPES.store(0, Ordering::Relaxed);
-}
-
-fn accumulate(delta: &Sample) {
-    for (i, &c) in HwCounter::ALL.iter().enumerate() {
-        TOTALS[i].fetch_add(delta.scaled(c), Ordering::Relaxed);
-    }
-    TOTAL_SCOPES.fetch_add(1, Ordering::Relaxed);
+    perfport_telemetry::counter_add(SCOPES_KEY, 1);
 }
 
 thread_local! {
@@ -333,9 +311,9 @@ fn with_thread_group<R>(f: impl FnOnce(&perf::PerfGroup) -> R) -> Option<R> {
 }
 
 /// Measures the calling thread's hardware counters from creation to
-/// drop. On drop the delta is fed to `perfport-trace` (category `"hw"`,
-/// one multi-series counter event) and added to the process [`Totals`].
-/// When profiling is disabled this is a no-op behind one atomic load.
+/// drop. On drop the scaled delta is added to the telemetry counters
+/// `hw/<event>` and `hw/scopes`. When profiling is disabled this is a
+/// no-op behind one atomic load.
 #[must_use = "a scope measures until this guard drops"]
 pub struct ThreadScope {
     start: Option<Sample>,
@@ -367,15 +345,7 @@ impl Drop for ThreadScope {
         let Some(Some(end)) = with_thread_group(|g| g.read_sample().ok()) else {
             return;
         };
-        let delta = Sample { raw: end }.delta(&start);
-        accumulate(&delta);
-        if perfport_trace::enabled() {
-            let values: Vec<(&str, f64)> = HwCounter::ALL
-                .iter()
-                .map(|&c| (c.name(), delta.scaled(c) as f64))
-                .collect();
-            perfport_trace::counter_set("hw", "counters", &values);
-        }
+        record(&Sample { raw: end }.delta(&start));
     }
 }
 
@@ -383,8 +353,8 @@ impl Drop for ThreadScope {
 mod tests {
     use super::*;
 
-    // ENABLED and the totals are process-wide; serialize the tests that
-    // touch them.
+    // ENABLED and the `hw/*` telemetry counters are process-wide;
+    // serialize the tests that touch them.
     static GLOBAL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn sample(counts: [u64; HwCounter::COUNT], enabled: u64, running: u64) -> Sample {
@@ -451,12 +421,29 @@ mod tests {
         let zero = Totals::default();
         assert_eq!(zero.ipc(), None);
         assert_eq!(zero.per_kilo_instruction(HwCounter::LlcMisses), None);
-        let d = t.delta(&Totals {
-            counts: [400, 1000, 10, 5, 4],
-            scopes: 1,
-        });
-        assert_eq!(d.counts, [600, 2000, 50, 10, 5]);
-        assert_eq!(d.scopes, 1);
+    }
+
+    #[test]
+    fn scope_deltas_land_in_telemetry_scaled() {
+        let _guard = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let before = perfport_telemetry::snapshot();
+        // Counted half the time: every event is recorded doubled.
+        record(&sample([100, 300, 6, 2, 1], 1000, 500));
+        let delta = perfport_telemetry::snapshot().delta_since(&before);
+        let expected = [
+            ("hw/cycles", 200),
+            ("hw/instructions", 600),
+            ("hw/l1d_misses", 12),
+            ("hw/llc_misses", 4),
+            ("hw/branch_misses", 2),
+            ("hw/scopes", 1),
+        ];
+        for (key, value) in expected {
+            assert_eq!(delta.counters.get(key), Some(&value), "{key}");
+        }
+        let totals = Totals::since(&before);
+        assert_eq!(totals.counts, [200, 600, 12, 4, 2]);
+        assert_eq!(totals.scopes, 1);
     }
 
     #[test]
@@ -473,21 +460,25 @@ mod tests {
             "unavailable (perf_event_paranoid=3 (simulated))"
         );
         disable();
-        let before = totals();
+        let before = perfport_telemetry::snapshot();
         let scope = thread_scope();
         assert!(!scope.is_recording());
         drop(scope);
-        assert_eq!(totals(), before, "a disabled scope must record nothing");
+        assert_eq!(
+            Totals::since(&before),
+            Totals::default(),
+            "a disabled scope must record nothing"
+        );
     }
 
     #[test]
     fn scopes_accumulate_when_counters_work() {
         let _guard = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Whichever way the probe goes on this host, the invariants hold:
-        // available -> scopes record and totals grow monotonically;
+        // available -> the scope records and retires instructions;
         // unavailable -> everything stays inert.
         let avail = try_enable();
-        let before = totals();
+        let before = perfport_telemetry::snapshot();
         {
             let scope = thread_scope();
             assert_eq!(scope.is_recording(), avail.is_available());
@@ -498,16 +489,16 @@ mod tests {
             }
             std::hint::black_box(acc);
         }
-        let after = totals();
+        let delta = Totals::since(&before);
         disable();
         if avail.is_available() {
-            assert_eq!(after.scopes, before.scopes + 1);
+            assert_eq!(delta.scopes, 1);
             assert!(
-                after.get(HwCounter::Instructions) > before.get(HwCounter::Instructions),
+                delta.get(HwCounter::Instructions) > 0,
                 "a busy loop must retire instructions"
             );
         } else {
-            assert_eq!(after, before);
+            assert_eq!(delta, Totals::default());
         }
     }
 

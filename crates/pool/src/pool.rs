@@ -364,7 +364,6 @@ impl ThreadPool {
         perfport_telemetry::counter_add("pool/barrier_wait_ns", barrier_wait_ns);
         perfport_telemetry::observe("pool/parallel_for_ns", region_ns_u64(elapsed));
         if sp.is_recording() {
-            perfport_trace::counter("pool", "barrier_wait_ns", barrier_wait_ns as f64);
             sp.arg("n", n);
             sp.arg("schedule", format!("{schedule:?}"));
             sp.arg("team", team);
@@ -381,7 +380,6 @@ impl ThreadPool {
                 "fork_join_overhead_ns",
                 stats.fork_join_overhead.as_nanos() as u64,
             );
-            perfport_trace::counter("pool", "imbalance", stats.imbalance());
         }
         stats
     }

@@ -31,7 +31,10 @@
 //! bench harness with this crate's `stub` feature, which replaces
 //! every entry point below with an empty inline function, and gating
 //! the two `host_gemm` runs against each other (≤2%). Shipping code
-//! never enables `stub`; it exists purely as the A/B baseline.
+//! never enables `stub`; it exists purely as the A/B baseline. Since
+//! this crate is the workspace's one metric registry, a `stub` build
+//! also records no `perfport-obs` hardware counts (`hw/*`), and every
+//! `perfport-trace` session exports an empty telemetry delta.
 
 #![deny(missing_docs)]
 

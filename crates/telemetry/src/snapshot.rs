@@ -187,8 +187,10 @@ pub fn prometheus_name(name: &str) -> String {
     format!("perfport_{sanitized}")
 }
 
-/// Minimal JSON string escaping for metric names and event payloads
-/// (quote, backslash, and control characters).
+/// Escapes `s` as the *contents* of a JSON string literal (no quotes):
+/// quote, backslash, and control characters. The workspace's one JSON
+/// escaper — telemetry snapshots, flight dumps, trace exports and bench
+/// manifests all use it.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -43,13 +43,7 @@ impl Collector {
 
     /// Records one event, stamped with the current time and the calling
     /// thread's stable id.
-    pub fn record(
-        &self,
-        kind: EventKind,
-        cat: &'static str,
-        name: String,
-        args: Vec<(String, Value)>,
-    ) {
+    pub fn record(&self, kind: EventKind, cat: &str, name: String, args: Vec<(String, Value)>) {
         let event = Event {
             kind,
             cat: cat.to_string(),

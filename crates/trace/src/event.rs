@@ -9,7 +9,7 @@ pub enum EventKind {
     SpanBegin,
     /// A span closed (`ph: "E"`).
     SpanEnd,
-    /// A counter sample (`ph: "C"`).
+    /// A counter sample (`ph: "C"`): one metric of a session's telemetry delta.
     Counter,
     /// An instantaneous marker (`ph: "i"`).
     Instant,

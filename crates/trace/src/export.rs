@@ -3,6 +3,7 @@
 
 use crate::event::{Event, EventKind, Value};
 use crate::json::{self, Json};
+use perfport_telemetry::snapshot::escape;
 use std::fmt::Write as _;
 
 fn value_json(v: &Value) -> String {
@@ -11,7 +12,7 @@ fn value_json(v: &Value) -> String {
         Value::U64(n) => format!("{n}"),
         Value::F64(n) => json::number(*n),
         Value::Bool(b) => format!("{b}"),
-        Value::Str(s) => format!("\"{}\"", json::escape(s)),
+        Value::Str(s) => format!("\"{}\"", escape(s)),
     }
 }
 
@@ -21,7 +22,7 @@ fn args_json(args: &[(String, Value)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", json::escape(k), value_json(v));
+        let _ = write!(out, "\"{}\":{}", escape(k), value_json(v));
     }
     out.push('}');
     out
@@ -36,8 +37,8 @@ pub fn jsonl(events: &[Event]) -> String {
             out,
             "{{\"kind\":\"{}\",\"cat\":\"{}\",\"name\":\"{}\",\"ts_ns\":{},\"tid\":{},\"args\":{}}}",
             e.kind.phase(),
-            json::escape(&e.cat),
-            json::escape(&e.name),
+            escape(&e.cat),
+            escape(&e.name),
             e.ts_ns,
             e.tid,
             args_json(&e.args),
@@ -63,8 +64,8 @@ pub fn chrome(events: &[Event]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}",
-            json::escape(&e.name),
-            json::escape(&e.cat),
+            escape(&e.name),
+            escape(&e.cat),
             e.kind.phase(),
             json::number(ts_us),
             e.tid,

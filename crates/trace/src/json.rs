@@ -1,8 +1,8 @@
 //! Minimal JSON support: enough to emit trace files and to read a
-//! Chrome trace back in (`trace_report`). No external dependencies.
+//! Chrome trace back in (`trace_report`). String escaping is
+//! `perfport_telemetry::snapshot::escape`. No external dependencies.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,25 +61,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` as the *contents* of a JSON string literal (no quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats an `f64` as a JSON number: finite values roundtrip, and
@@ -343,6 +324,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfport_telemetry::snapshot::escape;
 
     #[test]
     fn parses_nested_document() {

@@ -3,9 +3,11 @@
 //! The paper's evaluation is only as convincing as the evidence behind
 //! each number: region fork-join costs, per-worker chunk imbalance,
 //! simulated launch/coalescing behaviour, warm-up exclusion. This crate
-//! captures that intermediate evidence as **spans** (nested, timed
-//! regions) and **counters** (named samples), without perturbing the
-//! measurements themselves:
+//! records the *timeline* of that evidence as **spans** (nested, timed
+//! regions whose end events carry the region's arguments), without
+//! perturbing the measurements themselves. Quantities are recorded once,
+//! in `perfport-telemetry`; a [`TraceSession`] appends the telemetry
+//! delta of its lifetime as counter events when it finishes.
 //!
 //! - **Zero cost when disabled.** Every instrumentation site starts
 //!   with one relaxed atomic load; when no collector is installed the
@@ -27,10 +29,12 @@
 //!     let mut sp = trace::span("demo", "outer");
 //!     sp.arg("n", 42u64);
 //!     let _inner = trace::span("demo", "inner");
-//!     trace::counter("demo", "items", 42.0);
+//!     perfport_telemetry::counter_add("demo/items", 42);
 //! }
 //! let events = session.finish();
-//! assert_eq!(events.len(), 5); // 2 begins + 2 ends + 1 counter
+//! // 2 begins + 2 ends, then the session's telemetry delta (in a
+//! // `stub` telemetry build the delta is empty).
+//! assert!(events.len() >= 4);
 //! let chrome = trace::export::chrome(&events);
 //! assert!(chrome.contains("\"traceEvents\""));
 //! println!("{}", trace::summary::render(&events));
@@ -45,6 +49,7 @@ pub mod summary;
 pub use collector::Collector;
 pub use event::{Event, EventKind, Value};
 
+use perfport_telemetry::Snapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -64,21 +69,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Installs `collector` as the global recording sink, replacing (and
-/// returning) any previous one.
-pub fn install(collector: Arc<Collector>) -> Option<Arc<Collector>> {
+/// Uninstalls `collector` only if it is still the installed one, so
+/// ending an older session leaves a newer one recording.
+fn uninstall_if_current(collector: &Arc<Collector>) {
     let mut slot = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    let old = slot.replace(collector);
-    ENABLED.store(true, Ordering::Relaxed);
-    old
-}
-
-/// Removes the global collector and disables tracing. Returns the
-/// collector so its events can be exported.
-pub fn uninstall() -> Option<Arc<Collector>> {
-    let mut slot = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    ENABLED.store(false, Ordering::Relaxed);
-    slot.take()
+    if slot.as_ref().is_some_and(|c| Arc::ptr_eq(c, collector)) {
+        ENABLED.store(false, Ordering::Relaxed);
+        *slot = None;
+    }
 }
 
 fn current() -> Option<Arc<Collector>> {
@@ -95,38 +93,63 @@ fn current() -> Option<Arc<Collector>> {
 /// An installed-collector session with RAII teardown: the common
 /// pattern for tests and binaries.
 ///
-/// `start` installs a fresh collector; `finish` (or drop) uninstalls it
-/// and hands back the recorded events.
+/// `start` installs a fresh collector and snapshots the telemetry
+/// registry; `finish` (or drop) uninstalls the collector if it is still
+/// the installed one. `finish` hands back the recorded events followed
+/// by one [`EventKind::Counter`] event per telemetry counter and
+/// histogram that changed during the session.
 pub struct TraceSession {
     collector: Arc<Collector>,
-    finished: bool,
+    telemetry_start: Snapshot,
 }
 
 impl TraceSession {
-    /// Installs a fresh global collector.
+    /// Installs a fresh global collector, replacing any previous one.
     pub fn start() -> Self {
         let collector = Arc::new(Collector::new());
-        install(Arc::clone(&collector));
+        let telemetry_start = perfport_telemetry::snapshot();
+        *GLOBAL.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&collector));
+        ENABLED.store(true, Ordering::Relaxed);
         TraceSession {
             collector,
-            finished: false,
+            telemetry_start,
         }
     }
 
     /// Uninstalls the collector and returns everything it recorded, in
-    /// recording order.
-    pub fn finish(mut self) -> Vec<Event> {
-        self.finished = true;
-        uninstall();
+    /// recording order, then the session's telemetry delta: a counter
+    /// `a/b/c` becomes the event `cat: "a", name: "b/c"` carrying
+    /// `value`; a histogram carries `count` and `sum`.
+    pub fn finish(self) -> Vec<Event> {
+        uninstall_if_current(&self.collector);
+        let delta = perfport_telemetry::snapshot().delta_since(&self.telemetry_start);
+        for (key, &value) in &delta.counters {
+            if value > 0 {
+                self.record_delta(key, vec![("value".to_string(), Value::U64(value))]);
+            }
+        }
+        for (key, hist) in &delta.histograms {
+            if hist.count > 0 {
+                let args = vec![
+                    ("count".to_string(), Value::U64(hist.count)),
+                    ("sum".to_string(), Value::U64(hist.sum)),
+                ];
+                self.record_delta(key, args);
+            }
+        }
         self.collector.snapshot()
+    }
+
+    fn record_delta(&self, key: &str, args: Vec<(String, Value)>) {
+        let (cat, name) = key.split_once('/').unwrap_or(("telemetry", key));
+        self.collector
+            .record(EventKind::Counter, cat, name.to_string(), args);
     }
 }
 
 impl Drop for TraceSession {
     fn drop(&mut self) {
-        if !self.finished {
-            uninstall();
-        }
+        uninstall_if_current(&self.collector);
     }
 }
 
@@ -148,37 +171,6 @@ pub fn span(cat: &'static str, name: impl Into<String>) -> SpanGuard {
             }
         }
         None => SpanGuard { inner: None },
-    }
-}
-
-/// Records a counter sample.
-pub fn counter(cat: &'static str, name: impl Into<String>, value: f64) {
-    if let Some(collector) = current() {
-        collector.record(
-            EventKind::Counter,
-            cat,
-            name.into(),
-            vec![("value".to_string(), Value::F64(value))],
-        );
-    }
-}
-
-/// Records one counter event carrying several named series — a
-/// multi-series counter track in Chrome terms (all keys plot on one
-/// track), one JSONL line, and per-key statistics in the text summary
-/// (`cat:name.key`; a key named `"value"` keeps the plain `cat:name`).
-///
-/// This is the namespace hardware-counter deltas use: `perfport-obs`
-/// emits `("hw", "counters", [("cycles", …), ("instructions", …), …])`
-/// per measured scope, and all three exporters carry it with no extra
-/// plumbing.
-pub fn counter_set(cat: &'static str, name: impl Into<String>, values: &[(&str, f64)]) {
-    if let Some(collector) = current() {
-        let args = values
-            .iter()
-            .map(|&(k, v)| (k.to_string(), Value::F64(v)))
-            .collect();
-        collector.record(EventKind::Counter, cat, name.into(), args);
     }
 }
 
@@ -246,7 +238,6 @@ mod tests {
         let mut sp = span("t", "nothing");
         assert!(!sp.is_recording());
         sp.arg("ignored", 1u64);
-        counter("t", "ignored", 1.0);
         drop(sp);
         // Installing afterwards must observe an empty world.
         let session = TraceSession::start();
@@ -254,16 +245,13 @@ mod tests {
     }
 
     #[test]
-    fn session_collects_spans_and_counters() {
+    fn session_collects_nested_spans() {
         let _guard = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let session = TraceSession::start();
         {
             let mut sp = span("cat", "outer");
             sp.arg("answer", 42u64);
-            {
-                let _inner = span("cat", "inner");
-                counter("cat", "work", 7.0);
-            }
+            let _inner = span("cat", "inner");
         }
         let events = session.finish();
         assert!(!enabled());
@@ -273,15 +261,52 @@ mod tests {
             vec![
                 EventKind::SpanBegin, // outer
                 EventKind::SpanBegin, // inner
-                EventKind::Counter,   // work
                 EventKind::SpanEnd,   // inner
                 EventKind::SpanEnd,   // outer
             ]
         );
-        let outer_end = &events[4];
+        let outer_end = &events[3];
         assert_eq!(outer_end.name, "outer");
         assert_eq!(outer_end.args[0].0, "answer");
         assert_eq!(outer_end.args[0].1, Value::U64(42));
+    }
+
+    #[test]
+    fn session_exports_its_telemetry_delta() {
+        let _guard = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The registry is process-global: keys are namespaced to this
+        // test, and one is touched only before the session starts.
+        perfport_telemetry::counter_add("trace_test/before_only", 3);
+        let session = TraceSession::start();
+        perfport_telemetry::counter_add("trace_test/x", 5);
+        perfport_telemetry::observe("trace_test/h", 40);
+        let events = session.finish();
+        let find = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.kind == EventKind::Counter && e.cat == "trace_test" && e.name == name)
+        };
+        let x = find("x").expect("counter delta exported");
+        assert_eq!(x.arg("value"), Some(&Value::U64(5)));
+        let h = find("h").expect("histogram delta exported");
+        assert_eq!(h.arg("count"), Some(&Value::U64(1)));
+        assert_eq!(h.arg("sum"), Some(&Value::U64(40)));
+        assert!(find("before_only").is_none());
+    }
+
+    #[test]
+    fn finishing_an_older_session_keeps_the_newer_one_recording() {
+        let _guard = GLOBAL_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let older = TraceSession::start();
+        let newer = TraceSession::start();
+        older.finish();
+        assert!(enabled());
+        drop(span("t", "after_older_finished"));
+        let events = newer.finish();
+        assert!(!enabled());
+        assert!(events
+            .iter()
+            .any(|e| e.kind == EventKind::SpanEnd && e.name == "after_older_finished"));
     }
 
     #[test]
