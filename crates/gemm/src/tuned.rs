@@ -22,11 +22,15 @@
 //!    `B` panel to an L3 share ([`BlockSizes::for_cache`], fed from
 //!    [`CacheInfo`]).
 //!
-//! Parallelisation follows the paper's CPU strategy: macro-row-blocks of
-//! `C` (`MR`-aligned, at most `Mc` rows, balanced across the team) are
-//! the work-sharing index space on the existing [`ThreadPool`],
-//! and every worker packs into a thread-local [`PackArena`] that is
-//! reused across calls, so sweep loops do not reallocate per size point.
+//! Parallelisation follows the paper's CPU strategy on the existing
+//! [`ThreadPool`]: one `parallel_for` in which every worker owns a static
+//! share of the macro-row-blocks of `C` (`MR`-aligned, at most `Mc` rows,
+//! balanced across the team) and packs its `A` blocks into a thread-local
+//! [`PackArena`]. As in BLIS, each `Kc×Nc` panel of `B` is packed once
+//! per region: the workers pack disjoint micropanel slices of one shared
+//! panel, meet at a [`SenseBarrier`], and then all read the whole panel.
+//! Arenas and the shared panel are reused across calls, so sweep loops do
+//! not reallocate per size point.
 //!
 //! The microkernel itself is dispatched **once per process** through
 //! [`crate::simd`]: explicit AVX2+FMA / AVX-512 / NEON register tiles
@@ -49,13 +53,16 @@ use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use crate::simd::{self, Isa};
 use perfport_half::F16;
-use perfport_pool::{CacheInfo, DisjointSlice, RegionStats, Schedule, ThreadPool};
+use perfport_pool::{
+    static_block, CacheInfo, DisjointSlice, RegionStats, Schedule, SenseBarrier, ThreadPool,
+};
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// The supported register tiles as `(MR, NR)` pairs, in ablation order.
@@ -249,97 +256,114 @@ const PACK_ALIGN: usize = 64;
 ///
 /// Capacity only ever grows, so a sweep loop reusing one buffer across
 /// size points allocates O(log sizes) times, not once per GEMM. Freshly
-/// grown memory is zero-initialised (scalars are valid all-zeroes), and
-/// the packing routines overwrite every element they later read.
+/// grown memory is zero-initialised (`vec!` of zero, which the allocator
+/// serves as untouched zero pages), and the packing routines overwrite
+/// every element they later read. The store carries one line of slack and
+/// the buffer starts at the first 64-byte boundary inside it, so
+/// micropanel starts are aligned without any raw allocation.
 struct AlignedBuf<T> {
-    ptr: *mut T,
-    cap: usize,
+    store: Vec<T>,
+    /// Elements skipped at the front of `store` to reach the boundary.
+    off: usize,
 }
-
-// SAFETY: the buffer exclusively owns its allocation; scalars are
-// plain-old-data, so moving the handle across threads is fine.
-unsafe impl<T: Send> Send for AlignedBuf<T> {}
 
 impl<T: Scalar> AlignedBuf<T> {
     fn new() -> Self {
         AlignedBuf {
-            ptr: std::ptr::null_mut(),
-            cap: 0,
+            store: Vec::new(),
+            off: 0,
         }
-    }
-
-    fn layout(cap: usize) -> std::alloc::Layout {
-        std::alloc::Layout::from_size_align(cap * std::mem::size_of::<T>(), PACK_ALIGN)
-            .expect("packing buffer layout")
     }
 
     /// Grows capacity to at least `len` and returns the first `len`
     /// elements as a mutable slice.
     fn slice_for(&mut self, len: usize) -> &mut [T] {
-        if len > self.cap {
-            let new_cap = len.next_power_of_two();
-            // SAFETY: layout has non-zero size (len > cap >= 0 and
-            // scalars are non-zero-sized); old pointer/capacity came
-            // from the same allocator.
-            unsafe {
-                if self.cap > 0 {
-                    std::alloc::dealloc(self.ptr as *mut u8, Self::layout(self.cap));
-                }
-                let raw = std::alloc::alloc_zeroed(Self::layout(new_cap));
-                if raw.is_null() {
-                    std::alloc::handle_alloc_error(Self::layout(new_cap));
-                }
-                self.ptr = raw as *mut T;
-            }
-            self.cap = new_cap;
+        if self.off + len > self.store.len() {
+            let slack = PACK_ALIGN / std::mem::size_of::<T>();
+            self.store = vec![T::zero(); len.next_power_of_two() + slack];
+            // `align_offset` may decline (`usize::MAX`); the buffer is
+            // then merely unaligned, which the `loadu` kernels tolerate.
+            self.off = match self.store.as_ptr().align_offset(PACK_ALIGN) {
+                off if off <= slack => off,
+                _ => 0,
+            };
         }
-        if len == 0 {
-            return &mut [];
-        }
-        // SAFETY: `ptr` covers `cap >= len` zero-initialised (hence
-        // valid) scalars and is exclusively owned.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, len) }
+        &mut self.store[self.off..self.off + len]
     }
 
     /// The first `len` elements, read-only. `len` must not exceed the
     /// capacity a prior [`AlignedBuf::slice_for`] established.
     fn as_slice(&self, len: usize) -> &[T] {
-        assert!(len <= self.cap, "reading past the packed region");
-        if len == 0 {
-            return &[];
-        }
-        // SAFETY: `ptr` covers `cap >= len` valid scalars.
-        unsafe { std::slice::from_raw_parts(self.ptr, len) }
+        assert!(
+            self.off + len <= self.store.len(),
+            "reading past the packed region"
+        );
+        &self.store[self.off..self.off + len]
     }
 }
 
-impl<T> Drop for AlignedBuf<T> {
-    fn drop(&mut self) {
-        if self.cap > 0 {
-            // SAFETY: allocated in `slice_for` with this exact layout.
-            unsafe {
-                let layout = std::alloc::Layout::from_size_align_unchecked(
-                    self.cap * std::mem::size_of::<T>(),
-                    PACK_ALIGN,
-                );
-                std::alloc::dealloc(self.ptr as *mut u8, layout);
-            }
-        }
-    }
-}
-
-/// Reusable packing buffers for one worker thread.
+/// A packed `B` panel shared by a region's team: one grow-only segment
+/// per member, split at micropanel boundaries ([`static_block`] over the
+/// panel's `NR`-column micropanels).
 ///
-/// Holding one of these across a sweep (or using the implicit
-/// thread-local arena via [`gemm`]/the `Vendor` variant) means the hot
-/// loop never calls the allocator after warm-up.
+/// Member `t` packs segment `t` under its write lock; after the panel
+/// barrier every member reads all segments under read locks, and a second
+/// barrier separates those reads from the next repack. The barriers
+/// order the phases, so no lock ever waits: the locks only make the
+/// hand-off between threads safe code. A pack that panicked leaves a
+/// valid buffer of stale values, and every panel is repacked before it is
+/// read, so a poisoned lock is taken over as is.
+struct SharedPanel<T> {
+    segments: Vec<RwLock<AlignedBuf<T>>>,
+}
+
+impl<T: Scalar> SharedPanel<T> {
+    fn new() -> Self {
+        SharedPanel {
+            segments: Vec::new(),
+        }
+    }
+
+    /// Grows to at least one segment per member of a `team` (never
+    /// shrinks, so a pool reused across calls allocates this once).
+    fn reserve_team(&mut self, team: usize) {
+        while self.segments.len() < team {
+            self.segments.push(RwLock::new(AlignedBuf::new()));
+        }
+    }
+
+    /// Member `tid`'s segment, for packing.
+    fn write(&self, tid: usize) -> RwLockWriteGuard<'_, AlignedBuf<T>> {
+        self.segments[tid]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Segment `s`, for the compute phase.
+    fn read(&self, s: usize) -> RwLockReadGuard<'_, AlignedBuf<T>> {
+        self.segments[s]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Reusable packing buffers for one thread.
+///
+/// Every thread that runs the blocked loop nest packs its `A` blocks into
+/// its own arena. The `B` panels belong to whichever thread starts the
+/// call: [`gemm_serial`]/[`gemm_rows`] pack all of `B` into the arena
+/// they are given (a team of one), while [`gemm`] lends the calling
+/// thread's arena to the whole region as its one shared panel, so the
+/// workers' arenas hold only `A`. Holding one of these across a sweep (or
+/// using the implicit thread-local arena via [`gemm`]/the `Vendor`
+/// variant) means the hot loop never calls the allocator after warm-up.
 pub struct PackArena<T> {
     a: AlignedBuf<T>,
-    b: AlignedBuf<T>,
-    // Widened panels for the F16 path: packs convert f16 → f32 so the
+    b: SharedPanel<T>,
+    // Widened buffers for the F16 path: packs convert f16 → f32 so the
     // contraction runs the native f32 microkernel. Empty for other T.
     aw: AlignedBuf<f32>,
-    bw: AlignedBuf<f32>,
+    bw: SharedPanel<f32>,
 }
 
 impl<T: Scalar> PackArena<T> {
@@ -347,20 +371,36 @@ impl<T: Scalar> PackArena<T> {
     pub fn new() -> Self {
         PackArena {
             a: AlignedBuf::new(),
-            b: AlignedBuf::new(),
+            b: SharedPanel::new(),
             aw: AlignedBuf::new(),
-            bw: AlignedBuf::new(),
+            bw: SharedPanel::new(),
         }
     }
 
-    /// Typed access to the widened `f32` packing buffers (`A`, `B`).
+    /// Grows both `B` panels to one segment per member of a `team`.
+    fn reserve_team(&mut self, team: usize) {
+        self.b.reserve_team(team);
+        self.bw.reserve_team(team);
+    }
+
+    /// The arena's two halves: this thread's `A` buffers and the `B`
+    /// panels a team shares, each plain and widened.
     ///
-    /// The `F16` path packs into these — they exist on every arena
-    /// regardless of `T`, so the dispatcher never has to reinterpret a
-    /// `PackArena<T>` as a `PackArena<F16>`; an arena checked out for one
-    /// scalar type can therefore never alias buffers of another.
-    fn widened(&mut self) -> (&mut AlignedBuf<f32>, &mut AlignedBuf<f32>) {
-        (&mut self.aw, &mut self.bw)
+    /// The `F16` path packs into the widened buffers. They exist on every
+    /// arena regardless of `T`, so the dispatcher never has to reinterpret
+    /// a `PackArena<T>` as a `PackArena<F16>`; an arena checked out for
+    /// one scalar type can therefore never alias buffers of another.
+    fn split(&mut self) -> (ABufs<'_, T>, BPanels<'_, T>) {
+        (
+            ABufs {
+                plain: &mut self.a,
+                widened: &mut self.aw,
+            },
+            BPanels {
+                plain: &self.b,
+                widened: &self.bw,
+            },
+        )
     }
 }
 
@@ -370,14 +410,33 @@ impl<T: Scalar> Default for PackArena<T> {
     }
 }
 
+/// One thread's `A` buffers (see [`PackArena::split`]).
+struct ABufs<'r, T> {
+    plain: &'r mut AlignedBuf<T>,
+    widened: &'r mut AlignedBuf<f32>,
+}
+
+/// A team's shared `B` panels (see [`PackArena::split`]).
+#[derive(Clone, Copy)]
+struct BPanels<'r, T> {
+    plain: &'r SharedPanel<T>,
+    widened: &'r SharedPanel<f32>,
+}
+
 thread_local! {
     /// Per-thread arenas keyed by scalar type, reused across every tuned
-    /// GEMM this thread ever runs (pool workers are persistent, so a
-    /// size sweep packs into the same two buffers throughout).
+    /// GEMM this thread ever runs. Pool workers are persistent, so a size
+    /// sweep packs its `A` blocks into the same buffers throughout, and
+    /// the thread that starts each [`gemm`] region reuses one shared `B`
+    /// panel.
     static THREAD_ARENAS: RefCell<HashMap<TypeId, Box<dyn Any>>> = RefCell::new(HashMap::new());
 }
 
 /// Runs `f` with this thread's reusable arena for `T`.
+///
+/// [`gemm`] holds the calling thread's arena for the whole region (its
+/// `B` panel is the team's), so `f` must not start a [`gemm`] on the same
+/// thread: the nested borrow panics.
 pub fn with_thread_arena<T: Scalar, R>(f: impl FnOnce(&mut PackArena<T>) -> R) -> R {
     THREAD_ARENAS.with(|map| {
         let mut map = map.borrow_mut();
@@ -725,11 +784,43 @@ fn panels(n: usize, k: usize, blocks: &BlockSizes) -> Vec<Panel> {
     out
 }
 
+/// One member's place in the team that runs a blocked loop nest: its
+/// index and the panel barrier it shares with its teammates (`None` for a
+/// team of one, which has no one to wait for).
+#[derive(Clone, Copy)]
+struct Team<'r> {
+    tid: usize,
+    barrier: Option<&'r SenseBarrier>,
+}
+
+impl Team<'_> {
+    /// The team of one behind [`gemm_serial`] and [`gemm_rows`].
+    const SOLO: Team<'static> = Team {
+        tid: 0,
+        barrier: None,
+    };
+
+    fn size(&self) -> usize {
+        self.barrier.map_or(1, SenseBarrier::team)
+    }
+
+    /// Waits for the whole team at the panel barrier, recording the wait
+    /// as `gemm/barrier_ns`.
+    fn sync(&self) {
+        if let Some(barrier) = self.barrier {
+            let t0 = Instant::now();
+            barrier.wait();
+            perfport_telemetry::observe("gemm/barrier_ns", elapsed_ns(t0));
+        }
+    }
+}
+
 /// Packs `A` and runs the register-tiled contraction of one `Mc` row
-/// block against an already-packed `B` panel, accumulating into `C`.
-/// Per `C` element the accumulation order is fixed by the panel
-/// enumeration and this function alone, which is what keeps serial and
-/// parallel runs bitwise-identical.
+/// block against the whole packed `B` panel, every member's segment in
+/// order, accumulating into `C`. Per `C` element the accumulation order is
+/// fixed by the panel enumeration and this function alone (which member
+/// packed a micropanel does not change its bytes), which is what keeps
+/// serial and parallel runs bitwise-identical.
 ///
 /// Kept out of line: inlined into its one caller, [`run_blocked`], the
 /// n = 1024 tuned GEMM measured about 10% slower on an AVX-512 host.
@@ -746,7 +837,8 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
     panel: Panel,
     i0: usize,
     mb: usize,
-    bp_all: &[P::Pack],
+    b_panel: &SharedPanel<P::Pack>,
+    team_size: usize,
     a_buf: &mut AlignedBuf<P::Pack>,
     microkernel: simd::Microkernel<P::Pack, MR, NR>,
 ) -> TunedStats {
@@ -757,34 +849,39 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
         ..TunedStats::default()
     };
     let ap_all = a_buf.as_slice(mb.div_ceil(MR) * kb * MR);
-    for jr in 0..nb.div_ceil(NR) {
-        let j_base = jc + jr * NR;
-        let jlim = NR.min(jc + nb - j_base);
-        let bp = &bp_all[jr * kb * NR..(jr + 1) * kb * NR];
-        for ir in 0..mb.div_ceil(MR) {
-            let i_base = i0 + ir * MR;
-            let ilim = MR.min(i0 + mb - i_base);
-            let ap = &ap_all[ir * kb * MR..(ir + 1) * kb * MR];
-            let acc = microkernel(kb, ap, bp);
-            stats.microkernel_calls += 1;
-            match c_layout {
-                Layout::RowMajor => {
-                    for (r, acc_row) in acc.iter().enumerate().take(ilim) {
-                        // SAFETY: row ownership (see above).
-                        let crow = unsafe { c.row(i_base + r, n) };
-                        for (cj, &v) in crow[j_base..j_base + jlim].iter_mut().zip(acc_row) {
-                            P::accumulate(cj, v);
+    let micropanels = nb.div_ceil(NR);
+    for seg in 0..team_size {
+        let owned = static_block(micropanels, team_size, seg);
+        let segment = b_panel.read(seg);
+        let bp_seg = segment.as_slice(owned.len() * kb * NR);
+        for (bp, jr) in bp_seg.chunks_exact(kb * NR).zip(owned.range()) {
+            let j_base = jc + jr * NR;
+            let jlim = NR.min(jc + nb - j_base);
+            for ir in 0..mb.div_ceil(MR) {
+                let i_base = i0 + ir * MR;
+                let ilim = MR.min(i0 + mb - i_base);
+                let ap = &ap_all[ir * kb * MR..(ir + 1) * kb * MR];
+                let acc = microkernel(kb, ap, bp);
+                stats.microkernel_calls += 1;
+                match c_layout {
+                    Layout::RowMajor => {
+                        for (r, acc_row) in acc.iter().enumerate().take(ilim) {
+                            // SAFETY: row ownership (see above).
+                            let crow = unsafe { c.row(i_base + r, n) };
+                            for (cj, &v) in crow[j_base..j_base + jlim].iter_mut().zip(acc_row) {
+                                P::accumulate(cj, v);
+                            }
                         }
                     }
-                }
-                Layout::ColMajor => {
-                    for (r, acc_row) in acc.iter().enumerate().take(ilim) {
-                        for (cix, &v) in acc_row.iter().enumerate().take(jlim) {
-                            let idx = c_layout.index(m, n, i_base + r, j_base + cix);
-                            // SAFETY: row ownership (see above); each
-                            // element belongs to exactly one owned row.
-                            unsafe {
-                                P::accumulate(c.at(idx), v);
+                    Layout::ColMajor => {
+                        for (r, acc_row) in acc.iter().enumerate().take(ilim) {
+                            for (cix, &v) in acc_row.iter().enumerate().take(jlim) {
+                                let idx = c_layout.index(m, n, i_base + r, j_base + cix);
+                                // SAFETY: row ownership (see above); each
+                                // element belongs to exactly one owned row.
+                                unsafe {
+                                    P::accumulate(c.at(idx), v);
+                                }
                             }
                         }
                     }
@@ -795,8 +892,16 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
     stats
 }
 
-/// The blocked loop nest over one contiguous row range of `C`, written
-/// once for every scalar flavour (see [`PackOps`]).
+/// The blocked loop nest, written once for every scalar flavour (see
+/// [`PackOps`]) and every team size: member `team.tid` owns `rows` of `C`.
+///
+/// Per `(jc, p0)` panel every member packs its [`static_block`] share of
+/// the panel's `NR`-column micropanels into its segment of `b_panel`,
+/// waits at the panel barrier, runs [`compute_block`] for each of its
+/// row blocks against the whole panel, and waits again before the panel
+/// is repacked (the last panel needs no second wait: the region's join
+/// follows). A team of one packs the whole panel and never waits, so
+/// `B` is packed exactly once per call at any team size.
 #[allow(clippy::too_many_arguments)]
 fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     a: &Matrix<P::Src>,
@@ -807,20 +912,35 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     rows: Range<usize>,
     blocks: &BlockSizes,
     a_buf: &mut AlignedBuf<P::Pack>,
-    b_buf: &mut AlignedBuf<P::Pack>,
+    b_panel: &SharedPanel<P::Pack>,
+    team: Team<'_>,
     isa: Isa,
 ) -> TunedStats {
     let (_, n) = c_shape;
     let k = a.cols();
     let mc = blocks.mc;
+    let team_size = team.size();
     let microkernel = simd::select::<P::Pack, MR, NR>(isa);
     let mut stats = TunedStats::default();
 
-    for panel in panels(n, k, blocks) {
+    let all = panels(n, k, blocks);
+    for (ix, &panel) in all.iter().enumerate() {
+        let mine = static_block(panel.nb.div_ceil(NR), team_size, team.tid);
+        // This member's columns of the panel; none when it owns no
+        // micropanel (`mine` then starts at the panel's end).
+        let cols = panel.nb.min(mine.end * NR).saturating_sub(mine.start * NR);
         let t0 = Instant::now();
-        stats.pack_b_bytes += P::pack_b(b, panel.p0, panel.kb, panel.jc, panel.nb, NR, b_buf);
+        stats.pack_b_bytes += P::pack_b(
+            b,
+            panel.p0,
+            panel.kb,
+            panel.jc + mine.start * NR,
+            cols,
+            NR,
+            &mut b_panel.write(team.tid),
+        );
         perfport_telemetry::observe("gemm/pack_ns", elapsed_ns(t0));
-        let bp_len = panel.nb.div_ceil(NR) * panel.kb * NR;
+        team.sync();
         for i0 in (rows.start..rows.end).step_by(mc) {
             let mb = mc.min(rows.end - i0);
             let t0 = Instant::now();
@@ -832,13 +952,17 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
                 panel,
                 i0,
                 mb,
-                b_buf.as_slice(bp_len),
+                b_panel,
+                team_size,
                 a_buf,
                 microkernel,
             );
             perfport_telemetry::observe("gemm/compute_ns", elapsed_ns(t0));
             stats.pack_a_bytes += s.pack_a_bytes;
             stats.microkernel_calls += s.microkernel_calls;
+        }
+        if ix + 1 < all.len() {
+            team.sync();
         }
     }
     stats
@@ -901,10 +1025,59 @@ fn check_shapes<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, m: usize, n: usize) {
     assert_eq!(b.cols(), n, "B cols must match C cols");
 }
 
-/// Runs the tuned kernel over one contiguous row range of `C`, packing
-/// through `arena`, with the process-wide dispatched microkernel
-/// ([`simd::active`]). This is the chunk-level entry the `Vendor` host
-/// variant and the parallel driver share.
+/// Runs member `team.tid`'s share of the blocked loop nest over `rows`,
+/// packing `A` into `a_bufs` and its slice of each `B` panel into
+/// `b_panels`, for the flavour `T` selects (the widened path for `F16`).
+#[allow(clippy::too_many_arguments)]
+fn run_member<T: Scalar>(
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c: &DisjointSlice<'_, T>,
+    c_shape: (usize, usize),
+    c_layout: Layout,
+    rows: Range<usize>,
+    params: &TunedParams,
+    a_bufs: ABufs<'_, T>,
+    b_panels: BPanels<'_, T>,
+    team: Team<'_>,
+    isa: Isa,
+) -> TunedStats {
+    if let Some((a16, b16, c16)) = as_f16(a, b, c) {
+        let run = tile_fn!(params.tile, run_blocked::<WidenedF16Ops>);
+        return run(
+            a16,
+            b16,
+            c16,
+            c_shape,
+            c_layout,
+            rows,
+            &params.blocks,
+            a_bufs.widened,
+            b_panels.widened,
+            team,
+            isa,
+        );
+    }
+    let run = tile_fn!(params.tile, run_blocked::<PlainOps<T>>);
+    run(
+        a,
+        b,
+        c,
+        c_shape,
+        c_layout,
+        rows,
+        &params.blocks,
+        a_bufs.plain,
+        b_panels.plain,
+        team,
+        isa,
+    )
+}
+
+/// Runs the tuned kernel over one contiguous row range of `C` as a team
+/// of one, packing `A` and all of `B` through `arena`, with the
+/// process-wide dispatched microkernel ([`simd::active`]). This is the
+/// chunk-level entry of the `Vendor` host variant.
 ///
 /// `c` wraps `C`'s backing storage (`m*n` elements, `c_layout` order);
 /// the caller must own `rows` exclusively.
@@ -964,35 +1137,19 @@ pub fn gemm_rows_with_isa<T: Scalar>(
     check_shapes(a, b, m, n);
     assert_eq!(c.len(), m * n, "C storage size mismatch");
     assert!(rows.end <= m, "row range out of bounds");
-    if let Some((a16, b16, c16)) = as_f16(a, b, c) {
-        // The widened pack buffers come from the typed accessor, so no
-        // `PackArena` is ever reinterpreted across scalar types.
-        let (aw, bw) = arena.widened();
-        let run = tile_fn!(params.tile, run_blocked::<WidenedF16Ops>);
-        return run(
-            a16,
-            b16,
-            c16,
-            c_shape,
-            c_layout,
-            rows,
-            &params.blocks,
-            aw,
-            bw,
-            isa,
-        );
-    }
-    let run = tile_fn!(params.tile, run_blocked::<PlainOps<T>>);
-    run(
+    arena.reserve_team(1);
+    let (a_bufs, b_panels) = arena.split();
+    run_member(
         a,
         b,
         c,
         c_shape,
         c_layout,
         rows,
-        &params.blocks,
-        &mut arena.a,
-        &mut arena.b,
+        params,
+        a_bufs,
+        b_panels,
+        Team::SOLO,
         isa,
     )
 }
@@ -1028,13 +1185,26 @@ pub fn gemm_serial_with_isa<T: Scalar>(
     stats
 }
 
-/// Parallel tuned GEMM: one fork-join `parallel_for` with
-/// [`Schedule::StaticBlock`] over balanced, `MR`-aligned row blocks of
-/// `C`, each worker running the blocked loop nest over its merged row
-/// range with its own thread-local [`PackArena`]. Returns the region
-/// instrumentation; the packing/microkernel counters go to
-/// `perfport-telemetry`. Results are
-/// bitwise-identical across team sizes and to [`gemm_serial`].
+/// Parallel tuned GEMM: one fork-join `parallel_for` in which every
+/// worker of `pool` runs the blocked loop nest once, as one member of a
+/// team.
+///
+/// Each member owns a [`Schedule::StaticBlock`] share of the balanced,
+/// `MR`-aligned row blocks of `C` and packs its `A` blocks into its own
+/// thread-local [`PackArena`]. `B` is packed once per region: the calling
+/// thread's thread-local arena lends its panel to the team, every member
+/// packs a disjoint slice of each `(jc, p0)` panel, and a
+/// [`SenseBarrier`] separates packing a panel from reading it, and
+/// reading it from repacking it. A member that panics poisons the
+/// barrier, so the region re-raises instead of hanging. Returns the region
+/// instrumentation, whose `items_per_thread` counts each member's row
+/// blocks; the packing/microkernel counters go to
+/// `perfport-telemetry`, and `gemm/pack_b_bytes` equals
+/// [`gemm_serial`]'s at any team size. Results are bitwise-identical
+/// across team sizes and to [`gemm_serial`].
+///
+/// The calling thread's arena stays borrowed for the whole region, so
+/// `gemm` must not be called from inside [`with_thread_arena`].
 pub fn gemm<T: Scalar>(
     pool: &ThreadPool,
     a: &Matrix<T>,
@@ -1066,21 +1236,63 @@ pub fn gemm<T: Scalar>(
     }
     let layout = c.layout();
     let ds = DisjointSlice::new(c.as_mut_slice());
-    let blocks = row_blocks(m, params.tile.mr, params.blocks.mc, pool.num_threads());
+    let team = pool.num_threads();
+    let blocks = row_blocks(m, params.tile.mr, params.blocks.mc, team);
+    let barrier = SenseBarrier::new(team);
     let pack_a_total = AtomicU64::new(0);
     let pack_b_total = AtomicU64::new(0);
     let micro_total = AtomicU64::new(0);
-    let region = pool.parallel_for(blocks.len(), Schedule::StaticBlock, |_ctx, chunk| {
-        if chunk.is_empty() {
-            return;
-        }
-        let rows = blocks[chunk.start].start..blocks[chunk.end - 1].end;
-        let stats =
-            with_thread_arena(|arena| gemm_rows(a, b, &ds, (m, n), layout, rows, params, arena));
-        pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
-        pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
-        micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
+    let owned_blocks: Vec<AtomicUsize> = (0..team).map(|_| AtomicUsize::new(0)).collect();
+    let mut region = with_thread_arena(|arena: &mut PackArena<T>| {
+        arena.reserve_team(team);
+        let (_, b_panels) = arena.split();
+        pool.parallel_for(team, Schedule::StaticBlock, |ctx, _| {
+            let _poison = barrier.poison_on_unwind();
+            let tid = ctx.thread_id;
+            let mine = static_block(blocks.len(), team, tid);
+            owned_blocks[tid].store(mine.len(), Ordering::Relaxed);
+            let rows = if mine.is_empty() {
+                0..0
+            } else {
+                blocks[mine.start].start..blocks[mine.end - 1].end
+            };
+            let member = Team {
+                tid,
+                barrier: (team > 1).then_some(&barrier),
+            };
+            let stats = with_thread_arena(|own: &mut PackArena<T>| {
+                let (a_bufs, _) = own.split();
+                run_member(
+                    a,
+                    b,
+                    &ds,
+                    (m, n),
+                    layout,
+                    rows,
+                    params,
+                    a_bufs,
+                    b_panels,
+                    member,
+                    isa,
+                )
+            });
+            pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
+            pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
+            micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
+        })
     });
+    // The region's one item per member says nothing about the split:
+    // report each member's row blocks, one chunk per non-empty share, as
+    // a `parallel_for` over the blocks would.
+    region.items_per_thread = owned_blocks
+        .into_iter()
+        .map(AtomicUsize::into_inner)
+        .collect();
+    region.chunks_per_thread = region
+        .items_per_thread
+        .iter()
+        .map(|&owned| usize::from(owned > 0))
+        .collect();
     let totals = TunedStats {
         pack_a_bytes: pack_a_total.into_inner(),
         pack_b_bytes: pack_b_total.into_inner(),
@@ -1165,7 +1377,7 @@ mod tests {
         let params = TunedParams {
             tile: TileShape { mr: 4, nr: 4 },
             // Tiny blocks force many row blocks and (jc, p0) panels, so
-            // every worker's B buffer is repacked repeatedly.
+            // the team's shared B panel is repacked repeatedly.
             blocks: BlockSizes {
                 mc: 8,
                 kc: 12,
@@ -1195,8 +1407,9 @@ mod tests {
     #[test]
     fn pack_buffer_reuse_survives_many_panels() {
         // k and n large relative to kc/nc: 8 k-panels × 4 jc panels = 32
-        // B-panel packs through each worker's one buffer, while 7 workers
-        // run side by side. Any reuse-before-drained bug corrupts C.
+        // packs of the one shared B panel, while 7 workers read it side by
+        // side. A repack before every member has drained the panel
+        // corrupts C.
         let pool = ThreadPool::new(7);
         let params = TunedParams {
             tile: TileShape { mr: 4, nr: 4 },
@@ -1416,6 +1629,12 @@ mod tests {
                 let mut c = Matrix::<f64>::zeros(m, n, Layout::RowMajor);
                 let region = gemm(&pool, &a, &b, &mut c, &params);
                 assert_eq!(c_serial, c, "m={m} threads={threads}");
+                let blocks = row_blocks(m, mr, params.blocks.mc, threads);
+                assert_eq!(
+                    region.total_items(),
+                    blocks.len(),
+                    "m={m} threads={threads}"
+                );
                 if m >= threads * mr {
                     let items = &region.items_per_thread;
                     assert_eq!(items.len(), threads);

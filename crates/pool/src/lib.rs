@@ -26,7 +26,9 @@
 //! * [`WorkQueue`] — a submit-from-outside task queue drained by the pool's
 //!   team, for serving workloads where work arrives continuously instead of
 //!   as one up-front index space.
-//! * [`SenseBarrier`] — a reusable sense-reversing barrier.
+//! * [`SenseBarrier`] — a reusable sense-reversing barrier for phases
+//!   inside one region, poisoned (through [`PoisonOnUnwind`]) when a
+//!   teammate panics so the rest of the team cannot hang on it.
 //! * [`DisjointSlice`] — safe disjoint mutable access for row-parallel
 //!   kernels.
 //! * [`CachePadded`] / [`CacheInfo`] — false-sharing padding for hot
@@ -42,11 +44,11 @@ mod slice;
 mod stats;
 mod topology;
 
-pub use barrier::SenseBarrier;
+pub use barrier::{BarrierPoisoned, PoisonOnUnwind, SenseBarrier};
 pub use pad::CachePadded;
 pub use pool::{ForContext, ThreadPool};
 pub use queue::WorkQueue;
-pub use schedule::{Chunk, Schedule, StaticChunks};
+pub use schedule::{static_block, Chunk, Schedule, StaticChunks};
 pub use slice::DisjointSlice;
 pub use stats::RegionStats;
 pub use topology::{CacheInfo, CacheSource, CpuTopology, PinPolicy, Placement};

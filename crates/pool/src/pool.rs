@@ -6,7 +6,14 @@
 //! stack; soundness comes from the strict join protocol — `run_region`
 //! does not return until every worker has signalled completion, so the
 //! borrowed closure outlives all uses.
+//!
+//! Regions on one pool run one at a time. The pool is `Sync`, so two
+//! threads may fork on it at once; without a per-pool region lock their
+//! jobs could reach the worker channels in different orders, and a
+//! region whose members meet at an internal [`crate::SenseBarrier`] would
+//! wait for a worker that is stuck in the other region's barrier.
 
+use crate::barrier::BarrierPoisoned;
 use crate::schedule::{Chunk, DynamicCursor, Schedule, StaticChunks};
 use crate::slice::SlotCell;
 use crate::stats::RegionStats;
@@ -149,6 +156,9 @@ pub struct ThreadPool {
     topology: CpuTopology,
     policy: PinPolicy,
     regions_run: AtomicUsize,
+    /// Held by `run_region` from the first job send to the join, so the
+    /// regions of concurrent callers never interleave on the workers.
+    region_lock: Mutex<()>,
 }
 
 impl ThreadPool {
@@ -205,10 +215,15 @@ impl ThreadPool {
                                     // learns about the failure — the dump
                                     // guard is first-trigger-wins, so the
                                     // file on disk ends with this event.
-                                    let msg = perfport_telemetry::panic_message(&**payload);
-                                    perfport_telemetry::counter_add("pool/worker_panics", 1);
-                                    perfport_telemetry::event("task_panic", msg.clone());
-                                    perfport_telemetry::flight_dump("task_panic", &msg);
+                                    // A teammate released by a poisoned
+                                    // barrier did not fail: only the
+                                    // root-cause panic is counted.
+                                    if !payload.is::<BarrierPoisoned>() {
+                                        let msg = perfport_telemetry::panic_message(&**payload);
+                                        perfport_telemetry::counter_add("pool/worker_panics", 1);
+                                        perfport_telemetry::event("task_panic", msg.clone());
+                                        perfport_telemetry::flight_dump("task_panic", &msg);
+                                    }
                                     job.state.panicked.store(true, Ordering::Release);
                                 }
                                 job.state.finish_one();
@@ -227,6 +242,7 @@ impl ThreadPool {
             topology,
             policy,
             regions_run: AtomicUsize::new(0),
+            region_lock: Mutex::new(()),
         }
     }
 
@@ -256,7 +272,9 @@ impl ThreadPool {
     }
 
     /// Runs `body(thread_id)` on every worker and waits for all of them —
-    /// a bare `#pragma omp parallel`.
+    /// a bare `#pragma omp parallel`. Every worker runs the body exactly
+    /// once, so members may meet at a barrier inside it; concurrent
+    /// callers on one pool queue up for the region lock.
     ///
     /// # Panics
     ///
@@ -264,6 +282,7 @@ impl ThreadPool {
     pub fn run_region<F: Fn(usize) + Sync>(&self, body: &F) {
         let mut sp = perfport_trace::span("pool", "region");
         sp.arg("team", self.senders.len());
+        let serial = self.region_lock.lock();
         perfport_telemetry::event("region_begin", format!("team={}", self.senders.len()));
         let started = Instant::now();
         let state = RegionState::new(self.senders.len());
@@ -276,6 +295,7 @@ impl ThreadPool {
             tx.send(job_msg(job)).expect("worker channel closed");
         }
         state.wait();
+        drop(serial);
         let region_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         perfport_telemetry::counter_add("pool/regions", 1);
         perfport_telemetry::observe("pool/region_ns", region_ns);
@@ -645,6 +665,37 @@ mod tests {
         );
         let empty: Vec<usize> = pool.parallel_map(0, Schedule::StaticBlock, |i| i);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn concurrent_callers_never_interleave_barrier_regions() {
+        // Two threads fork regions whose members meet at an internal
+        // barrier on one shared pool. Interleaved jobs would leave each
+        // region waiting for a worker parked in the other's barrier. The
+        // callers start every round together and the team is wide, so
+        // their job sends overlap: without the region lock this hangs
+        // within a few hundred rounds.
+        let pool = ThreadPool::new(8);
+        let rounds = 500;
+        let finished = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..rounds {
+                        let barrier = crate::SenseBarrier::new(pool.num_threads());
+                        start.wait();
+                        pool.run_region(&|_tid| {
+                            barrier.wait();
+                            barrier.wait();
+                        });
+                        finished.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(finished.load(Ordering::Relaxed), 2 * rounds);
+        assert_eq!(pool.regions_run(), 2 * rounds);
     }
 
     #[test]

@@ -9,15 +9,37 @@
 //! cargo test -p perfport-pool --test panic_stress
 //! RUST_TEST_THREADS=1 cargo test -p perfport-pool --test panic_stress
 //! ```
+//!
+//! `pool/worker_panics` is process-global: the test that counts it
+//! exactly holds [`PANICS`] for writing, every other test that makes
+//! workers panic holds it for reading, so they still overlap each other.
 
-use perfport_pool::{Schedule, ThreadPool};
+use perfport_pool::{Schedule, SenseBarrier, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{RwLock, RwLockReadGuard};
+
+static PANICS: RwLock<()> = RwLock::new(());
+
+/// Held by a test whose workers panic but which does not count panics.
+fn panicking() -> RwLockReadGuard<'static, ()> {
+    PANICS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The `pool/worker_panics` counter now.
+fn worker_panics() -> u64 {
+    perfport_telemetry::snapshot()
+        .counters
+        .get("pool/worker_panics")
+        .copied()
+        .unwrap_or(0)
+}
 
 /// Alternates panicking and clean regions on one pool many times; the
 /// pool must recover after every panic.
 #[test]
 fn pool_survives_repeated_worker_panics() {
+    let _panics = panicking();
     let pool = ThreadPool::new(4);
     let completed = AtomicUsize::new(0);
     for round in 0..50 {
@@ -42,6 +64,7 @@ fn pool_survives_repeated_worker_panics() {
 /// propagated panic, and the join still completes.
 #[test]
 fn simultaneous_panics_join_cleanly() {
+    let _panics = panicking();
     let pool = ThreadPool::new(8);
     for _ in 0..20 {
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -57,10 +80,41 @@ fn simultaneous_panics_join_cleanly() {
     }
 }
 
+/// A worker that panics before an in-region barrier poisons it on the
+/// way out, so its teammates stop waiting and the region re-raises
+/// instead of hanging. The teammates it releases are not counted as
+/// panics of their own: `pool/worker_panics` rises by one per round.
+#[test]
+fn panic_before_a_region_barrier_poisons_it_instead_of_hanging() {
+    let _exclusive = PANICS.write().unwrap_or_else(|e| e.into_inner());
+    let pool = ThreadPool::new(4);
+    for round in 0..20 {
+        let barrier = SenseBarrier::new(pool.num_threads());
+        let panics_before = worker_panics();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_region(&|tid| {
+                let _poison = barrier.poison_on_unwind();
+                if tid == 0 {
+                    panic!("worker 0 panics before the barrier in round {round}");
+                }
+                barrier.wait();
+                barrier.wait();
+            });
+        }));
+        assert!(result.is_err(), "round {round}: region did not re-raise");
+        assert!(barrier.is_poisoned(), "round {round}");
+        assert_eq!(worker_panics() - panics_before, 1, "round {round}");
+        // Every worker is back in its receive loop.
+        let stats = pool.parallel_for_each(8, Schedule::StaticBlock, |_| {});
+        assert_eq!(stats.total_items(), 8, "round {round}: pool wedged");
+    }
+}
+
 /// A panic in one region does not leak into the accounting of later
 /// regions (`regions_run` keeps counting, stats stay exact).
 #[test]
 fn accounting_is_exact_across_panics() {
+    let _panics = panicking();
     let pool = ThreadPool::new(3);
     let before = pool.regions_run();
     let _ = catch_unwind(AssertUnwindSafe(|| {
@@ -81,6 +135,7 @@ fn accounting_is_exact_across_panics() {
 /// deadlock (regression stress for the join protocol's panic path).
 #[test]
 fn many_pools_panicking_concurrently() {
+    let _panics = panicking();
     std::thread::scope(|s| {
         for p in 0..4 {
             s.spawn(move || {
