@@ -20,6 +20,8 @@
 //!    has a registered spec ([`study`]) that the `perfport-bench`
 //!    binaries render ([`tables`]).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod counters;
 pub mod experiment;

@@ -72,6 +72,16 @@ impl fmt::Display for StreamKernel {
     }
 }
 
+/// Writes `out[i] = value(i)` for every index on the host pool, each
+/// worker filling its own static block of `out`.
+fn fill(pool: &ThreadPool, out: &mut [f64], value: impl Fn(usize) -> f64 + Sync) {
+    pool.parallel_for_mut(out, 1, Schedule::StaticBlock, |_, chunk, mine| {
+        for (i, x) in chunk.range().zip(mine) {
+            *x = value(i);
+        }
+    });
+}
+
 /// The BabelStream scaling constant.
 pub const KAPPA: f64 = 0.4;
 
@@ -86,21 +96,13 @@ pub fn run_stream_kernel(pool: &ThreadPool, kernel: StreamKernel, n: usize) -> f
     match kernel {
         StreamKernel::Copy => {
             let mut c = vec![0.0; n];
-            let ds = perfport_pool::DisjointSlice::new(&mut c);
-            pool.parallel_for_each(n, Schedule::StaticBlock, |i| {
-                // SAFETY: each index assigned to exactly one thread.
-                unsafe { *ds.at(i) = a0[i] };
-            });
+            fill(pool, &mut c, |i| a0[i]);
             assert_eq!(c, a0, "copy verification");
             c.iter().sum()
         }
         StreamKernel::Mul => {
             let mut b = vec![0.0; n];
-            let ds = perfport_pool::DisjointSlice::new(&mut b);
-            pool.parallel_for_each(n, Schedule::StaticBlock, |i| {
-                // SAFETY: disjoint indices.
-                unsafe { *ds.at(i) = KAPPA * c0[i] };
-            });
+            fill(pool, &mut b, |i| KAPPA * c0[i]);
             for i in 0..n {
                 assert_eq!(b[i], KAPPA * c0[i], "mul verification at {i}");
             }
@@ -108,11 +110,7 @@ pub fn run_stream_kernel(pool: &ThreadPool, kernel: StreamKernel, n: usize) -> f
         }
         StreamKernel::Add => {
             let mut c = vec![0.0; n];
-            let ds = perfport_pool::DisjointSlice::new(&mut c);
-            pool.parallel_for_each(n, Schedule::StaticBlock, |i| {
-                // SAFETY: disjoint indices.
-                unsafe { *ds.at(i) = a0[i] + b0[i] };
-            });
+            fill(pool, &mut c, |i| a0[i] + b0[i]);
             for i in 0..n {
                 assert_eq!(c[i], a0[i] + b0[i], "add verification at {i}");
             }
@@ -120,11 +118,7 @@ pub fn run_stream_kernel(pool: &ThreadPool, kernel: StreamKernel, n: usize) -> f
         }
         StreamKernel::Triad => {
             let mut a = vec![0.0; n];
-            let ds = perfport_pool::DisjointSlice::new(&mut a);
-            pool.parallel_for_each(n, Schedule::StaticBlock, |i| {
-                // SAFETY: disjoint indices.
-                unsafe { *ds.at(i) = b0[i] + KAPPA * c0[i] };
-            });
+            fill(pool, &mut a, |i| b0[i] + KAPPA * c0[i]);
             for i in 0..n {
                 assert_eq!(a[i], b0[i] + KAPPA * c0[i], "triad verification at {i}");
             }

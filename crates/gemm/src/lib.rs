@@ -50,6 +50,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod gpu;
@@ -59,6 +60,8 @@ pub mod parallel;
 pub mod portable;
 pub mod scalar;
 pub mod serial;
+// The `std::arch` microkernels are the crate's one exception.
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod tuned;
 pub mod variants;

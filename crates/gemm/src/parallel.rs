@@ -6,12 +6,14 @@
 //! work-sharing index space, so each thread owns whole contiguous output
 //! rows/columns. Fine granularity (the paper's GPU strategy) is also
 //! provided for CPU execution as [`par_gemm_element_grid`]: one logical
-//! task per element of `C`, mirroring the 2-D thread grid.
+//! task per element of `C`, mirroring the 2-D thread grid. Both hand each
+//! chunk its own slice of `C` through
+//! [`ThreadPool::parallel_for_mut`].
 
-use crate::matrix::Matrix;
+use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use crate::variants::CpuVariant;
-use perfport_pool::{DisjointSlice, RegionStats, Schedule, ThreadPool};
+use perfport_pool::{RegionStats, Schedule, ThreadPool};
 
 /// Runs `C += A · B` in parallel using `variant`'s kernel and layout over
 /// `pool` with the given loop `schedule`. Returns the region
@@ -46,10 +48,10 @@ pub fn par_gemm<T: Scalar>(
             crate::serial::gemm_min_bytes(shape.0, shape.1, a.cols(), std::mem::size_of::<T>()),
         );
     }
-    let extent = variant.parallel_extent(shape.0, shape.1);
-    let ds = DisjointSlice::new(c.as_mut_slice());
-    pool.parallel_for(extent, schedule, |_ctx, chunk| {
-        variant.run_chunk(a, b, &ds, shape, chunk);
+    // An empty `C` has no rows (columns) to hand out, whatever the width.
+    let width = variant.parallel_width(shape.0, shape.1).max(1);
+    pool.parallel_for_mut(c.as_mut_slice(), width, schedule, |_ctx, chunk, lines| {
+        variant.run_chunk(a, b, lines, shape, chunk);
     })
 }
 
@@ -57,6 +59,10 @@ pub fn par_gemm<T: Scalar>(
 /// index space and every element of `C` is one dot product, exactly like a
 /// GPU thread in the paper's Fig. 3 kernels. Used to contrast coarse vs.
 /// fine granularity on CPUs in the ablation benches.
+///
+/// The grid is numbered in `C`'s storage order, so every chunk is one
+/// contiguous run of `C`; each element's dot product is the same whatever
+/// the layout or schedule.
 pub fn par_gemm_element_grid<T: Scalar>(
     pool: &ThreadPool,
     a: &Matrix<T>,
@@ -70,21 +76,18 @@ pub fn par_gemm_element_grid<T: Scalar>(
     assert_eq!(a.layout(), c.layout(), "A/C layout mismatch");
     assert_eq!(b.layout(), c.layout(), "B/C layout mismatch");
     let (m, n, k) = (c.rows(), c.cols(), a.cols());
-    let ds = DisjointSlice::new(c.as_mut_slice());
-    let layout = a.layout();
-    pool.parallel_for(m * n, schedule, |_ctx, chunk| {
-        for idx in chunk.range() {
-            let (i, j) = (idx / n, idx % n);
+    let layout = c.layout();
+    pool.parallel_for_mut(c.as_mut_slice(), 1, schedule, |_ctx, chunk, out| {
+        for (idx, cij) in chunk.range().zip(out) {
+            let (i, j) = match layout {
+                Layout::RowMajor => (idx / n, idx % n),
+                Layout::ColMajor => (idx % m, idx / m),
+            };
             let mut acc = T::zero();
             for l in 0..k {
                 acc += a[(i, l)] * b[(l, j)];
             }
-            // SAFETY: each linear element index is assigned to exactly one
-            // chunk by the schedule.
-            let slot = layout.index(m, n, i, j);
-            unsafe {
-                *ds.at(slot) += acc;
-            }
+            *cij += acc;
         }
     })
 }
@@ -159,16 +162,31 @@ mod tests {
     #[test]
     fn element_grid_matches_reference() {
         let pool = ThreadPool::new(4);
-        for layout in [Layout::RowMajor, Layout::ColMajor] {
-            let (m, k, n) = (19, 11, 23);
-            let a = Matrix::<f64>::random(m, k, layout, 9);
-            let b = Matrix::<f64>::random(k, n, layout, 10);
-            let reference = gemm_reference_f64(&a, &b);
-            let mut c = Matrix::<f64>::zeros(m, n, layout);
-            let stats =
-                par_gemm_element_grid(&pool, &a, &b, &mut c, Schedule::Dynamic { chunk: 16 });
-            assert!(c.max_abs_diff(&reference) < 1e-12);
-            assert_eq!(stats.total_items(), m * n);
+        let (m, k, n) = (19, 11, 23);
+        let row_a = Matrix::<f64>::random(m, k, Layout::RowMajor, 9);
+        let row_b = Matrix::<f64>::random(k, n, Layout::RowMajor, 10);
+        let reference = gemm_reference_f64(&row_a, &row_b);
+        let mut first: Option<Matrix<f64>> = None;
+        for schedule in [
+            Schedule::StaticBlock,
+            Schedule::StaticChunked { chunk: 5 },
+            Schedule::Dynamic { chunk: 16 },
+            Schedule::Guided { min_chunk: 3 },
+        ] {
+            for layout in [Layout::RowMajor, Layout::ColMajor] {
+                let (a, b) = (row_a.to_layout(layout), row_b.to_layout(layout));
+                let mut c = Matrix::<f64>::zeros(m, n, layout);
+                let stats = par_gemm_element_grid(&pool, &a, &b, &mut c, schedule);
+                assert!(c.max_abs_diff(&reference) < 1e-12, "{schedule:?} {layout}");
+                assert_eq!(stats.total_items(), m * n);
+                // Same values in either storage order, under every
+                // schedule, bit for bit.
+                let c = c.to_layout(Layout::RowMajor);
+                match &first {
+                    Some(first) => assert_eq!(&c, first, "{schedule:?} {layout}"),
+                    None => first = Some(c),
+                }
+            }
         }
     }
 

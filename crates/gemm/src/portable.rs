@@ -17,7 +17,7 @@
 use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
 use perfport_gpusim::{Dim3, Gpu, LaunchConfig, LaunchError, LaunchStats, ThreadCtx};
-use perfport_pool::{DisjointSlice, RegionStats, Schedule, ThreadPool};
+use perfport_pool::{RegionStats, Schedule, ThreadPool};
 
 /// Abstract read access to the `A` and `B` operands — the single-source
 /// seam between host memory and device buffers.
@@ -144,18 +144,20 @@ pub fn portable_gemm<T: Scalar>(
                 a: &a_row,
                 b: &b_row,
             };
-            let stats = {
-                let ds = DisjointSlice::new(c.as_mut_slice());
-                pool.parallel_for(m, Schedule::StaticBlock, |_ctx, chunk| {
-                    for i in chunk.range() {
-                        // SAFETY: each row is owned by exactly one chunk.
-                        let row = unsafe { ds.row(i, n) };
+            // An empty `C` has no rows to hand out, whatever its width.
+            let width = n.max(1);
+            let stats = pool.parallel_for_mut(
+                c.as_mut_slice(),
+                width,
+                Schedule::StaticBlock,
+                |_, chunk, rows| {
+                    for (i, row) in chunk.range().zip(rows.chunks_exact_mut(width)) {
                         for (j, out) in row.iter_mut().enumerate() {
                             *out = gemm_element(&mem, i, j, k);
                         }
                     }
-                })
-            };
+                },
+            );
             Ok((c, BackendStats::Cpu(stats)))
         }
         Backend::Gpu(gpu, block) => {

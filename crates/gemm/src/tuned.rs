@@ -54,14 +54,13 @@ use crate::scalar::Scalar;
 use crate::simd::{self, Isa};
 use perfport_half::F16;
 use perfport_pool::{
-    static_block, CacheInfo, DisjointSlice, RegionStats, Schedule, SenseBarrier, ThreadPool,
+    static_block, CacheInfo, Chunk, RegionStats, Schedule, SenseBarrier, ThreadPool,
 };
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -351,12 +350,17 @@ impl<T: Scalar> SharedPanel<T> {
 ///
 /// Every thread that runs the blocked loop nest packs its `A` blocks into
 /// its own arena. The `B` panels belong to whichever thread starts the
-/// call: [`gemm_serial`]/[`gemm_rows`] pack all of `B` into the arena
-/// they are given (a team of one), while [`gemm`] lends the calling
-/// thread's arena to the whole region as its one shared panel, so the
-/// workers' arenas hold only `A`. Holding one of these across a sweep (or
-/// using the implicit thread-local arena via [`gemm`]/the `Vendor`
-/// variant) means the hot loop never calls the allocator after warm-up.
+/// call: [`gemm_serial`] packs all of `B` into the arena it is given (a
+/// team of one), while [`gemm`] lends the calling thread's arena to the
+/// whole region as its one shared panel, so the workers' arenas hold only
+/// `A`. Holding one of these across a sweep (or using the implicit
+/// thread-local arena via [`gemm`]) means the hot loop never calls the
+/// allocator after warm-up.
+///
+/// The `F16` path packs into widened `f32` buffers. They exist on every
+/// arena regardless of `T`, and each flavour of the loop nest picks its
+/// own pair (`PackOps::buffers`), so an arena never has to be
+/// reinterpreted as one of another scalar type.
 pub struct PackArena<T> {
     a: AlignedBuf<T>,
     b: SharedPanel<T>,
@@ -376,51 +380,12 @@ impl<T: Scalar> PackArena<T> {
             bw: SharedPanel::new(),
         }
     }
-
-    /// Grows both `B` panels to one segment per member of a `team`.
-    fn reserve_team(&mut self, team: usize) {
-        self.b.reserve_team(team);
-        self.bw.reserve_team(team);
-    }
-
-    /// The arena's two halves: this thread's `A` buffers and the `B`
-    /// panels a team shares, each plain and widened.
-    ///
-    /// The `F16` path packs into the widened buffers. They exist on every
-    /// arena regardless of `T`, so the dispatcher never has to reinterpret
-    /// a `PackArena<T>` as a `PackArena<F16>`; an arena checked out for
-    /// one scalar type can therefore never alias buffers of another.
-    fn split(&mut self) -> (ABufs<'_, T>, BPanels<'_, T>) {
-        (
-            ABufs {
-                plain: &mut self.a,
-                widened: &mut self.aw,
-            },
-            BPanels {
-                plain: &self.b,
-                widened: &self.bw,
-            },
-        )
-    }
 }
 
 impl<T: Scalar> Default for PackArena<T> {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// One thread's `A` buffers (see [`PackArena::split`]).
-struct ABufs<'r, T> {
-    plain: &'r mut AlignedBuf<T>,
-    widened: &'r mut AlignedBuf<f32>,
-}
-
-/// A team's shared `B` panels (see [`PackArena::split`]).
-#[derive(Clone, Copy)]
-struct BPanels<'r, T> {
-    plain: &'r SharedPanel<T>,
-    widened: &'r SharedPanel<f32>,
 }
 
 thread_local! {
@@ -464,6 +429,12 @@ pub struct TunedStats {
 }
 
 impl TunedStats {
+    fn absorb(&mut self, other: TunedStats) {
+        self.pack_a_bytes += other.pack_a_bytes;
+        self.pack_b_bytes += other.pack_b_bytes;
+        self.microkernel_calls += other.microkernel_calls;
+    }
+
     fn emit(&self) {
         perfport_telemetry::counter_add("gemm/invocations", 1);
         perfport_telemetry::counter_add("gemm/pack_a_bytes", self.pack_a_bytes);
@@ -681,6 +652,12 @@ trait PackOps {
 
     /// Accumulates one microkernel output element into `C`.
     fn accumulate(c: &mut Self::Src, v: Self::Pack);
+
+    /// The buffers of `arena` this flavour packs into: the thread's `A`
+    /// buffer and the `B` panel a team shares.
+    fn buffers(
+        arena: &mut PackArena<Self::Src>,
+    ) -> (&mut AlignedBuf<Self::Pack>, &mut SharedPanel<Self::Pack>);
 }
 
 /// [`PackOps`] for scalars whose packed panels hold the scalar itself.
@@ -717,6 +694,10 @@ impl<T: Scalar> PackOps for PlainOps<T> {
     #[inline(always)]
     fn accumulate(c: &mut T, v: T) {
         *c += v;
+    }
+
+    fn buffers(arena: &mut PackArena<T>) -> (&mut AlignedBuf<T>, &mut SharedPanel<T>) {
+        (&mut arena.a, &mut arena.b)
     }
 }
 
@@ -756,6 +737,10 @@ impl PackOps for WidenedF16Ops {
     fn accumulate(c: &mut F16, v: f32) {
         *c = F16::from_f32(c.to_f32() + v);
     }
+
+    fn buffers(arena: &mut PackArena<F16>) -> (&mut AlignedBuf<f32>, &mut SharedPanel<f32>) {
+        (&mut arena.aw, &mut arena.bw)
+    }
 }
 
 /// One `(jc, p0)` cache panel of the blocked loop nest: column offset and
@@ -794,7 +779,7 @@ struct Team<'r> {
 }
 
 impl Team<'_> {
-    /// The team of one behind [`gemm_serial`] and [`gemm_rows`].
+    /// The team of one behind [`gemm_serial`].
     const SOLO: Team<'static> = Team {
         tid: 0,
         barrier: None,
@@ -815,6 +800,65 @@ impl Team<'_> {
     }
 }
 
+/// Rows `rows` of `C`, the only part of it one member of a team writes.
+struct CRows<'c, T> {
+    rows: Range<usize>,
+    storage: RowStorage<'c, T>,
+}
+
+/// How a [`CRows`] holds its rows.
+enum RowStorage<'c, T> {
+    /// Row-major `C`: the rows back to back, `n` elements each.
+    Rows { n: usize, data: &'c mut [T] },
+    /// Column-major `C`: entry `j` is column `j` cut to the rows.
+    Cols(Vec<&'c mut [T]>),
+}
+
+/// Splits `C` into one [`CRows`] per member, member `t` getting rows
+/// `bounds[t]`. The bounds must tile `0..m` in order, so every element
+/// of `C` lands in exactly one view: a row-major `C` is cut into runs of
+/// whole rows, and every column of a column-major `C` is cut at the same
+/// row bounds.
+fn split_rows<'c, T: Scalar>(c: &'c mut Matrix<T>, bounds: &[Range<usize>]) -> Vec<CRows<'c, T>> {
+    let (m, n) = (c.rows(), c.cols());
+    let layout = c.layout();
+    let data = c.as_mut_slice();
+    let storages: Vec<RowStorage<'c, T>> = match layout {
+        Layout::RowMajor => {
+            let mut rest = data;
+            bounds
+                .iter()
+                .map(|rows| {
+                    let (data, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * n);
+                    rest = tail;
+                    RowStorage::Rows { n, data }
+                })
+                .collect()
+        }
+        Layout::ColMajor => {
+            let mut cols: Vec<Vec<&'c mut [T]>> =
+                bounds.iter().map(|_| Vec::with_capacity(n)).collect();
+            // An empty `C` has no columns to cut, whatever `n` is.
+            for mut col in data.chunks_exact_mut(m.max(1)) {
+                for (rows, member) in bounds.iter().zip(&mut cols) {
+                    let (segment, tail) = std::mem::take(&mut col).split_at_mut(rows.len());
+                    member.push(segment);
+                    col = tail;
+                }
+            }
+            cols.into_iter().map(RowStorage::Cols).collect()
+        }
+    };
+    bounds
+        .iter()
+        .zip(storages)
+        .map(|(rows, storage)| CRows {
+            rows: rows.clone(),
+            storage,
+        })
+        .collect()
+}
+
 /// Packs `A` and runs the register-tiled contraction of one `Mc` row
 /// block against the whole packed `B` panel, every member's segment in
 /// order, accumulating into `C`. Per `C` element the accumulation order is
@@ -825,15 +869,12 @@ impl Team<'_> {
 /// Kept out of line: inlined into its one caller, [`run_blocked`], the
 /// n = 1024 tuned GEMM measured about 10% slower on an AVX-512 host.
 ///
-/// SAFETY requirement: the caller must own rows `i0..i0+mb` of `C`
-/// exclusively per the [`DisjointSlice`] contract.
+/// Rows `i0..i0+mb` must lie inside `c.rows`.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
     a: &Matrix<P::Src>,
-    c: &DisjointSlice<'_, P::Src>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
+    c: &mut CRows<'_, P::Src>,
     panel: Panel,
     i0: usize,
     mb: usize,
@@ -842,8 +883,8 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
     a_buf: &mut AlignedBuf<P::Pack>,
     microkernel: simd::Microkernel<P::Pack, MR, NR>,
 ) -> TunedStats {
-    let (m, n) = c_shape;
     let Panel { jc, nb, p0, kb } = panel;
+    let r0 = c.rows.start;
     let mut stats = TunedStats {
         pack_a_bytes: P::pack_a(a, i0, mb, p0, kb, MR, a_buf),
         ..TunedStats::default()
@@ -863,25 +904,20 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
                 let ap = &ap_all[ir * kb * MR..(ir + 1) * kb * MR];
                 let acc = microkernel(kb, ap, bp);
                 stats.microkernel_calls += 1;
-                match c_layout {
-                    Layout::RowMajor => {
+                match &mut c.storage {
+                    RowStorage::Rows { n, data } => {
                         for (r, acc_row) in acc.iter().enumerate().take(ilim) {
-                            // SAFETY: row ownership (see above).
-                            let crow = unsafe { c.row(i_base + r, n) };
-                            for (cj, &v) in crow[j_base..j_base + jlim].iter_mut().zip(acc_row) {
+                            let at = (i_base + r - r0) * *n + j_base;
+                            for (cj, &v) in data[at..at + jlim].iter_mut().zip(acc_row) {
                                 P::accumulate(cj, v);
                             }
                         }
                     }
-                    Layout::ColMajor => {
+                    RowStorage::Cols(cols) => {
                         for (r, acc_row) in acc.iter().enumerate().take(ilim) {
-                            for (cix, &v) in acc_row.iter().enumerate().take(jlim) {
-                                let idx = c_layout.index(m, n, i_base + r, j_base + cix);
-                                // SAFETY: row ownership (see above); each
-                                // element belongs to exactly one owned row.
-                                unsafe {
-                                    P::accumulate(c.at(idx), v);
-                                }
+                            let i = i_base + r - r0;
+                            for (col, &v) in cols[j_base..j_base + jlim].iter_mut().zip(acc_row) {
+                                P::accumulate(&mut col[i], v);
                             }
                         }
                     }
@@ -893,7 +929,7 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
 }
 
 /// The blocked loop nest, written once for every scalar flavour (see
-/// [`PackOps`]) and every team size: member `team.tid` owns `rows` of `C`.
+/// [`PackOps`]) and every team size: member `team.tid` owns `c.rows`.
 ///
 /// Per `(jc, p0)` panel every member packs its [`static_block`] share of
 /// the panel's `NR`-column micropanels into its segment of `b_panel`,
@@ -906,18 +942,15 @@ fn compute_block<P: PackOps, const MR: usize, const NR: usize>(
 fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
     a: &Matrix<P::Src>,
     b: &Matrix<P::Src>,
-    c: &DisjointSlice<'_, P::Src>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    rows: Range<usize>,
+    c: &mut CRows<'_, P::Src>,
     blocks: &BlockSizes,
     a_buf: &mut AlignedBuf<P::Pack>,
     b_panel: &SharedPanel<P::Pack>,
     team: Team<'_>,
     isa: Isa,
 ) -> TunedStats {
-    let (_, n) = c_shape;
-    let k = a.cols();
+    let (n, k) = (b.cols(), a.cols());
+    let rows = c.rows.clone();
     let mc = blocks.mc;
     let team_size = team.size();
     let microkernel = simd::select::<P::Pack, MR, NR>(isa);
@@ -947,8 +980,6 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
             let s = compute_block::<P, MR, NR>(
                 a,
                 c,
-                c_shape,
-                c_layout,
                 panel,
                 i0,
                 mb,
@@ -958,8 +989,7 @@ fn run_blocked<P: PackOps, const MR: usize, const NR: usize>(
                 microkernel,
             );
             perfport_telemetry::observe("gemm/compute_ns", elapsed_ns(t0));
-            stats.pack_a_bytes += s.pack_a_bytes;
-            stats.microkernel_calls += s.microkernel_calls;
+            stats.absorb(s);
         }
         if ix + 1 < all.len() {
             team.sync();
@@ -973,23 +1003,10 @@ fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// The operands re-typed as `F16` when `T` is `F16` (the widened path),
-/// `None` for every other scalar. `T` is exactly `F16` when `A`
-/// downcasts, so the owned matrices go through `Any`; `C` is only
-/// borrowed, so it cannot meet `Any`'s `'static` bound and is cast.
-#[allow(clippy::type_complexity)]
-fn as_f16<'a, 'c, T: Scalar>(
-    a: &'a Matrix<T>,
-    b: &'a Matrix<T>,
-    c: &'a DisjointSlice<'c, T>,
-) -> Option<(&'a Matrix<F16>, &'a Matrix<F16>, &'a DisjointSlice<'c, F16>)> {
-    let a16 = (a as &dyn Any).downcast_ref::<Matrix<F16>>()?;
-    let b16 = (b as &dyn Any).downcast_ref::<Matrix<F16>>()?;
-    // SAFETY: `T` is exactly `F16` (the downcast above succeeded), so the
-    // cast is the identity and the reborrow keeps the slice's lifetimes.
-    let c16 = unsafe { &*(c as *const DisjointSlice<'c, T>).cast::<DisjointSlice<'c, F16>>() };
-    Some((a16, b16, c16))
-}
+/// Why a downcast of `C` or the arena to its `F16` type cannot fail once
+/// `A`'s and `B`'s succeeded. The entry points pick the widened flavour
+/// once per call this way, when `T` is `F16`.
+const SAME_SCALAR: &str = "A, B, C and the arena share one scalar type";
 
 /// Splits rows `0..m` of `C` into the blocks parallel workers own: at
 /// most `mc` rows each (the L2 cap from [`BlockSizes`]), starting on `mr`
@@ -1025,133 +1042,118 @@ fn check_shapes<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, m: usize, n: usize) {
     assert_eq!(b.cols(), n, "B cols must match C cols");
 }
 
-/// Runs member `team.tid`'s share of the blocked loop nest over `rows`,
-/// packing `A` into `a_bufs` and its slice of each `B` panel into
-/// `b_panels`, for the flavour `T` selects (the widened path for `F16`).
-#[allow(clippy::too_many_arguments)]
-fn run_member<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &DisjointSlice<'_, T>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    rows: Range<usize>,
+/// The serial tuned GEMM for one flavour: a team of one that owns all of
+/// `C` and packs `A` and all of `B` through `arena`.
+fn solo<P: PackOps>(
+    a: &Matrix<P::Src>,
+    b: &Matrix<P::Src>,
+    c: &mut Matrix<P::Src>,
     params: &TunedParams,
-    a_bufs: ABufs<'_, T>,
-    b_panels: BPanels<'_, T>,
-    team: Team<'_>,
+    arena: &mut PackArena<P::Src>,
     isa: Isa,
 ) -> TunedStats {
-    if let Some((a16, b16, c16)) = as_f16(a, b, c) {
-        let run = tile_fn!(params.tile, run_blocked::<WidenedF16Ops>);
-        return run(
-            a16,
-            b16,
-            c16,
-            c_shape,
-            c_layout,
-            rows,
-            &params.blocks,
-            a_bufs.widened,
-            b_panels.widened,
-            team,
-            isa,
-        );
-    }
-    let run = tile_fn!(params.tile, run_blocked::<PlainOps<T>>);
+    let whole = 0..c.rows();
+    let mut all = split_rows(c, std::slice::from_ref(&whole))
+        .pop()
+        .expect("one view per bound");
+    let (a_buf, b_panel) = P::buffers(arena);
+    b_panel.reserve_team(1);
+    let run = tile_fn!(params.tile, run_blocked::<P>);
     run(
         a,
         b,
-        c,
-        c_shape,
-        c_layout,
-        rows,
+        &mut all,
         &params.blocks,
-        a_bufs.plain,
-        b_panels.plain,
-        team,
-        isa,
-    )
-}
-
-/// Runs the tuned kernel over one contiguous row range of `C` as a team
-/// of one, packing `A` and all of `B` through `arena`, with the
-/// process-wide dispatched microkernel ([`simd::active`]). This is the
-/// chunk-level entry of the `Vendor` host variant.
-///
-/// `c` wraps `C`'s backing storage (`m*n` elements, `c_layout` order);
-/// the caller must own `rows` exclusively.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or an unsupported tile shape.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_rows<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &DisjointSlice<'_, T>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    rows: Range<usize>,
-    params: &TunedParams,
-    arena: &mut PackArena<T>,
-) -> TunedStats {
-    gemm_rows_with_isa(
-        a,
-        b,
-        c,
-        c_shape,
-        c_layout,
-        rows,
-        params,
-        arena,
-        simd::active(),
-    )
-}
-
-/// [`gemm_rows`] with an explicit ISA verdict instead of the process-wide
-/// one — the A/B entry point tests and ablations use to compare
-/// microkernels without touching `PERFPORT_SIMD`.
-///
-/// `isa` must be available on this CPU (callers obtain it from
-/// [`Isa::detect`], [`simd::active`], or an [`Isa::available`] check);
-/// [`simd::select`] falls back to the portable kernel for tile shapes the
-/// ISA cannot serve.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or an unsupported tile shape.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_rows_with_isa<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c: &DisjointSlice<'_, T>,
-    c_shape: (usize, usize),
-    c_layout: Layout,
-    rows: Range<usize>,
-    params: &TunedParams,
-    arena: &mut PackArena<T>,
-    isa: Isa,
-) -> TunedStats {
-    let (m, n) = c_shape;
-    check_shapes(a, b, m, n);
-    assert_eq!(c.len(), m * n, "C storage size mismatch");
-    assert!(rows.end <= m, "row range out of bounds");
-    arena.reserve_team(1);
-    let (a_bufs, b_panels) = arena.split();
-    run_member(
-        a,
-        b,
-        c,
-        c_shape,
-        c_layout,
-        rows,
-        params,
-        a_bufs,
-        b_panels,
+        a_buf,
+        b_panel,
         Team::SOLO,
         isa,
     )
+}
+
+/// One member of a [`gemm`] region: its rows of `C`, and the counters of
+/// the work it did.
+struct Member<'c, T> {
+    c: CRows<'c, T>,
+    stats: TunedStats,
+}
+
+/// The parallel tuned GEMM for one flavour (see [`gemm`]).
+fn team_gemm<P: PackOps>(
+    pool: &ThreadPool,
+    a: &Matrix<P::Src>,
+    b: &Matrix<P::Src>,
+    c: &mut Matrix<P::Src>,
+    params: &TunedParams,
+    isa: Isa,
+) -> RegionStats {
+    let m = c.rows();
+    let team = pool.num_threads();
+    let blocks = row_blocks(m, params.tile.mr, params.blocks.mc, team);
+    let shares: Vec<Chunk> = (0..team)
+        .map(|t| static_block(blocks.len(), team, t))
+        .collect();
+    let bounds: Vec<Range<usize>> = shares
+        .iter()
+        .map(|share| {
+            if share.is_empty() {
+                m..m
+            } else {
+                blocks[share.start].start..blocks[share.end - 1].end
+            }
+        })
+        .collect();
+    let mut members: Vec<Member<'_, P::Src>> = split_rows(c, &bounds)
+        .into_iter()
+        .map(|c| Member {
+            c,
+            stats: TunedStats::default(),
+        })
+        .collect();
+    let barrier = SenseBarrier::new(team);
+    let run = tile_fn!(params.tile, run_blocked::<P>);
+    let mut region = with_thread_arena(|arena: &mut PackArena<P::Src>| {
+        let (_, b_panel) = P::buffers(arena);
+        b_panel.reserve_team(team);
+        let b_panel = &*b_panel;
+        // One item per member, so under `StaticBlock` worker `t` is
+        // member `t`, and every member meets the panel barrier.
+        pool.parallel_for_mut(&mut members, 1, Schedule::StaticBlock, |_, chunk, mine| {
+            let _poison = barrier.poison_on_unwind();
+            let member = &mut mine[0];
+            let seat = Team {
+                tid: chunk.start,
+                barrier: (team > 1).then_some(&barrier),
+            };
+            member.stats = with_thread_arena(|own: &mut PackArena<P::Src>| {
+                let (a_buf, _) = P::buffers(own);
+                run(
+                    a,
+                    b,
+                    &mut member.c,
+                    &params.blocks,
+                    a_buf,
+                    b_panel,
+                    seat,
+                    isa,
+                )
+            });
+        })
+    });
+    // The region's one item per member says nothing about the split:
+    // report each member's row blocks, one chunk per non-empty share, as
+    // a `parallel_for` over the blocks would.
+    region.items_per_thread = shares.iter().map(Chunk::len).collect();
+    region.chunks_per_thread = shares
+        .iter()
+        .map(|share| usize::from(!share.is_empty()))
+        .collect();
+    let mut totals = TunedStats::default();
+    for member in &members {
+        totals.absorb(member.stats);
+    }
+    totals.emit();
+    region
 }
 
 /// Serial tuned GEMM: `C += A · B` with explicit parameters and arena,
@@ -1166,8 +1168,18 @@ pub fn gemm_serial<T: Scalar>(
     gemm_serial_with_isa(a, b, c, params, arena, simd::active())
 }
 
-/// [`gemm_serial`] with an explicit ISA verdict (see
-/// [`gemm_rows_with_isa`] for the availability contract).
+/// [`gemm_serial`] with an explicit ISA verdict instead of the
+/// process-wide one — the A/B entry point tests and ablations use to
+/// compare microkernels without touching `PERFPORT_SIMD`.
+///
+/// `isa` must be available on this CPU (callers obtain it from
+/// [`Isa::detect`], [`simd::active`], or an [`Isa::available`] check);
+/// [`simd::select`] falls back to the portable kernel for tile shapes the
+/// ISA cannot serve.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or an unsupported tile shape.
 pub fn gemm_serial_with_isa<T: Scalar>(
     a: &Matrix<T>,
     b: &Matrix<T>,
@@ -1176,11 +1188,21 @@ pub fn gemm_serial_with_isa<T: Scalar>(
     arena: &mut PackArena<T>,
     isa: Isa,
 ) -> TunedStats {
-    let shape = (c.rows(), c.cols());
-    let layout = c.layout();
-    let rows = 0..shape.0;
-    let ds = DisjointSlice::new(c.as_mut_slice());
-    let stats = gemm_rows_with_isa(a, b, &ds, shape, layout, rows, params, arena, isa);
+    check_shapes(a, b, c.rows(), c.cols());
+    let f16 = (a as &dyn Any)
+        .downcast_ref()
+        .zip((b as &dyn Any).downcast_ref());
+    let stats = match f16 {
+        Some((a16, b16)) => solo::<WidenedF16Ops>(
+            a16,
+            b16,
+            (c as &mut dyn Any).downcast_mut().expect(SAME_SCALAR),
+            params,
+            (arena as &mut dyn Any).downcast_mut().expect(SAME_SCALAR),
+            isa,
+        ),
+        None => solo::<PlainOps<T>>(a, b, c, params, arena, isa),
+    };
     stats.emit();
     stats
 }
@@ -1234,72 +1256,20 @@ pub fn gemm<T: Scalar>(
             crate::serial::gemm_min_bytes(m, n, a.cols(), std::mem::size_of::<T>()),
         );
     }
-    let layout = c.layout();
-    let ds = DisjointSlice::new(c.as_mut_slice());
-    let team = pool.num_threads();
-    let blocks = row_blocks(m, params.tile.mr, params.blocks.mc, team);
-    let barrier = SenseBarrier::new(team);
-    let pack_a_total = AtomicU64::new(0);
-    let pack_b_total = AtomicU64::new(0);
-    let micro_total = AtomicU64::new(0);
-    let owned_blocks: Vec<AtomicUsize> = (0..team).map(|_| AtomicUsize::new(0)).collect();
-    let mut region = with_thread_arena(|arena: &mut PackArena<T>| {
-        arena.reserve_team(team);
-        let (_, b_panels) = arena.split();
-        pool.parallel_for(team, Schedule::StaticBlock, |ctx, _| {
-            let _poison = barrier.poison_on_unwind();
-            let tid = ctx.thread_id;
-            let mine = static_block(blocks.len(), team, tid);
-            owned_blocks[tid].store(mine.len(), Ordering::Relaxed);
-            let rows = if mine.is_empty() {
-                0..0
-            } else {
-                blocks[mine.start].start..blocks[mine.end - 1].end
-            };
-            let member = Team {
-                tid,
-                barrier: (team > 1).then_some(&barrier),
-            };
-            let stats = with_thread_arena(|own: &mut PackArena<T>| {
-                let (a_bufs, _) = own.split();
-                run_member(
-                    a,
-                    b,
-                    &ds,
-                    (m, n),
-                    layout,
-                    rows,
-                    params,
-                    a_bufs,
-                    b_panels,
-                    member,
-                    isa,
-                )
-            });
-            pack_a_total.fetch_add(stats.pack_a_bytes, Ordering::Relaxed);
-            pack_b_total.fetch_add(stats.pack_b_bytes, Ordering::Relaxed);
-            micro_total.fetch_add(stats.microkernel_calls, Ordering::Relaxed);
-        })
-    });
-    // The region's one item per member says nothing about the split:
-    // report each member's row blocks, one chunk per non-empty share, as
-    // a `parallel_for` over the blocks would.
-    region.items_per_thread = owned_blocks
-        .into_iter()
-        .map(AtomicUsize::into_inner)
-        .collect();
-    region.chunks_per_thread = region
-        .items_per_thread
-        .iter()
-        .map(|&owned| usize::from(owned > 0))
-        .collect();
-    let totals = TunedStats {
-        pack_a_bytes: pack_a_total.into_inner(),
-        pack_b_bytes: pack_b_total.into_inner(),
-        microkernel_calls: micro_total.into_inner(),
-    };
-    totals.emit();
-    region
+    let f16 = (a as &dyn Any)
+        .downcast_ref()
+        .zip((b as &dyn Any).downcast_ref());
+    match f16 {
+        Some((a16, b16)) => team_gemm::<WidenedF16Ops>(
+            pool,
+            a16,
+            b16,
+            (c as &mut dyn Any).downcast_mut().expect(SAME_SCALAR),
+            params,
+            isa,
+        ),
+        None => team_gemm::<PlainOps<T>>(pool, a, b, c, params, isa),
+    }
 }
 
 #[cfg(test)]

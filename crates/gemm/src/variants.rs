@@ -16,11 +16,13 @@
 //! Each kernel is written against raw storage slices the way the original
 //! is written against raw pointers/arrays, and each can run serially or on
 //! a chunk of its parallel dimension (for the work-sharing runtime in
-//! [`crate::parallel`]).
+//! [`crate::parallel`]). A chunk is given only its own rows (columns for
+//! Julia) of `C`, so the kernels stay safe code where the originals switch
+//! bounds checks off.
 
 use crate::matrix::{Layout, Matrix};
 use crate::scalar::Scalar;
-use perfport_pool::{Chunk, DisjointSlice};
+use perfport_pool::Chunk;
 use std::fmt;
 
 /// The CPU programming models compared in the paper's Figs. 4–5.
@@ -34,31 +36,16 @@ pub enum CpuVariant {
     JuliaThreads,
     /// Python/Numba `@njit(parallel=True)` with `prange`.
     NumbaPrange,
-    /// The vendor-BLAS stand-in: the packed, register-tiled, cache-blocked
-    /// kernel in [`crate::tuned`]. Not one of the paper's portable models —
-    /// it is the measured baseline their efficiencies are judged against.
-    Vendor,
 }
 
 impl CpuVariant {
-    /// The four *portable* models in the paper's presentation order (the
-    /// vendor baseline is deliberately not a member: it is the denominator,
-    /// not a contestant).
+    /// The four portable models in the paper's presentation order. The
+    /// vendor baseline they are judged against is [`crate::tuned::gemm`].
     pub const ALL: [CpuVariant; 4] = [
         CpuVariant::OpenMpC,
         CpuVariant::KokkosLambda,
         CpuVariant::JuliaThreads,
         CpuVariant::NumbaPrange,
-    ];
-
-    /// The portable models plus the vendor baseline, for harnesses that
-    /// measure the denominator alongside the contestants.
-    pub const WITH_VENDOR: [CpuVariant; 5] = [
-        CpuVariant::OpenMpC,
-        CpuVariant::KokkosLambda,
-        CpuVariant::JuliaThreads,
-        CpuVariant::NumbaPrange,
-        CpuVariant::Vendor,
     ];
 
     /// The storage layout the host language defaults to.
@@ -85,16 +72,25 @@ impl CpuVariant {
             CpuVariant::KokkosLambda => "kokkos",
             CpuVariant::JuliaThreads => "julia",
             CpuVariant::NumbaPrange => "numba",
-            CpuVariant::Vendor => "vendor",
+        }
+    }
+
+    /// Length of one element of the parallel dimension in `C`'s storage:
+    /// a row (`n`) for the row-major models, a column (`m`) for Julia.
+    pub(crate) fn parallel_width(&self, m: usize, n: usize) -> usize {
+        match self {
+            CpuVariant::JuliaThreads => m,
+            _ => n,
         }
     }
 
     /// Executes this variant's kernel over one chunk of its parallel
-    /// dimension, writing disjoint parts of `C`.
+    /// dimension.
     ///
-    /// All three matrices must use [`CpuVariant::layout`]. `c` wraps the
-    /// output storage; the chunk identifies rows (columns for Julia) this
-    /// call owns exclusively.
+    /// All three matrices must use [`CpuVariant::layout`]. `c` is the
+    /// chunk's own part of `C`'s storage: rows `chunk.start..chunk.end`
+    /// of the `m×n` output, `chunk.len() * n` elements (for Julia columns,
+    /// `chunk.len() * m` elements).
     ///
     /// # Panics
     ///
@@ -103,7 +99,7 @@ impl CpuVariant {
         &self,
         a: &Matrix<T>,
         b: &Matrix<T>,
-        c: &DisjointSlice<'_, T>,
+        c: &mut [T],
         c_shape: (usize, usize),
         chunk: Chunk,
     ) {
@@ -114,16 +110,20 @@ impl CpuVariant {
         assert_eq!(b.rows(), k, "inner dimensions must agree");
         assert_eq!(a.rows(), m, "A rows must match C rows");
         assert_eq!(b.cols(), n, "B cols must match C cols");
-        assert_eq!(c.len(), m * n, "C storage size mismatch");
+        let width = self.parallel_width(m, n);
+        assert!(
+            chunk.end <= self.parallel_extent(m, n) && c.len() == chunk.len() * width,
+            "C chunk size mismatch"
+        );
+        // One entry per index of the chunk; an empty `C` has none to write.
+        let lines = c.chunks_exact_mut(width.max(1));
 
         let ad = a.as_slice();
         let bd = b.as_slice();
         match self {
             CpuVariant::OpenMpC => {
                 // for i { for l { t = A[i,l]; for j { C[i,j] += t*B[l,j] } } }
-                for i in chunk.range() {
-                    // SAFETY: each row index is owned by exactly one chunk.
-                    let crow = unsafe { c.row(i, n) };
+                for (i, crow) in chunk.range().zip(lines) {
                     for l in 0..k {
                         let t = ad[i * k + l];
                         let brow = &bd[l * n..(l + 1) * n];
@@ -136,9 +136,7 @@ impl CpuVariant {
             CpuVariant::KokkosLambda => {
                 // Lambda computing one entry of C, dispatched per row:
                 // C(i,j) = sum_l A(i,l) * B(l,j).
-                for i in chunk.range() {
-                    // SAFETY: row ownership per chunk.
-                    let crow = unsafe { c.row(i, n) };
+                for (i, crow) in chunk.range().zip(lines) {
                     for (j, cj) in crow.iter_mut().enumerate() {
                         let mut acc = *cj;
                         for l in 0..k {
@@ -151,9 +149,7 @@ impl CpuVariant {
             CpuVariant::JuliaThreads => {
                 // @threads for j { for l { t = B[l,j]; for i { C[i,j] += t*A[i,l] } } }
                 // Column-major: column j of C occupies [j*m, (j+1)*m).
-                for j in chunk.range() {
-                    // SAFETY: column ownership per chunk.
-                    let ccol = unsafe { c.row(j, m) };
+                for (j, ccol) in chunk.range().zip(lines) {
                     for l in 0..k {
                         let t = bd[j * k + l];
                         let acol = &ad[l * m..(l + 1) * m];
@@ -166,9 +162,7 @@ impl CpuVariant {
             CpuVariant::NumbaPrange => {
                 // prange over i; fastmath permits FMA contraction, which we
                 // make explicit with mul_add.
-                for i in chunk.range() {
-                    // SAFETY: row ownership per chunk.
-                    let crow = unsafe { c.row(i, n) };
+                for (i, crow) in chunk.range().zip(lines) {
                     for l in 0..k {
                         let t = ad[i * k + l];
                         let brow = &bd[l * n..(l + 1) * n];
@@ -178,23 +172,6 @@ impl CpuVariant {
                     }
                 }
             }
-            CpuVariant::Vendor => {
-                // The packed register-tiled kernel over this chunk's rows,
-                // packing into the calling worker's reusable arena.
-                let params = crate::tuned::TunedParams::host::<T>();
-                crate::tuned::with_thread_arena(|arena| {
-                    crate::tuned::gemm_rows(
-                        a,
-                        b,
-                        c,
-                        c_shape,
-                        self.layout(),
-                        chunk.range(),
-                        &params,
-                        arena,
-                    );
-                });
-            }
         }
     }
 
@@ -203,11 +180,10 @@ impl CpuVariant {
         assert_eq!(c.layout(), self.layout(), "C layout mismatch");
         let shape = (c.rows(), c.cols());
         let extent = self.parallel_extent(shape.0, shape.1);
-        let ds = DisjointSlice::new(c.as_mut_slice());
         self.run_chunk(
             a,
             b,
-            &ds,
+            c.as_mut_slice(),
             shape,
             Chunk {
                 start: 0,
@@ -224,7 +200,6 @@ impl CpuVariant {
             CpuVariant::KokkosLambda => KOKKOS_SNIPPET,
             CpuVariant::JuliaThreads => JULIA_SNIPPET,
             CpuVariant::NumbaPrange => NUMBA_SNIPPET,
-            CpuVariant::Vendor => VENDOR_SNIPPET,
         }
     }
 }
@@ -285,14 +260,6 @@ def gemm(A, B, C):
                 C[i, j] += temp * B[k, j]
 "#;
 
-const VENDOR_SNIPPET: &str = r#"
-// What the scientist actually writes when calling the vendor library:
-// one line hiding a packed, register-tiled, cache-blocked kernel.
-cblas_dgemm(CblasRowMajor, CblasNoTrans, CblasNoTrans,
-            A_rows, B_cols, A_cols,
-            1.0, A, A_cols, B, B_cols, 1.0, C, B_cols);
-"#;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,23 +313,13 @@ mod tests {
     fn parallel_extent_follows_layout() {
         assert_eq!(CpuVariant::OpenMpC.parallel_extent(4, 9), 4);
         assert_eq!(CpuVariant::JuliaThreads.parallel_extent(4, 9), 9);
-    }
-
-    #[test]
-    fn vendor_variant_matches_reference() {
-        check_variant::<f64>(CpuVariant::Vendor, 33, 29, 31, 1e-12);
-        check_variant::<f32>(CpuVariant::Vendor, 33, 29, 31, 1e-3);
-        assert_eq!(CpuVariant::Vendor.layout(), Layout::RowMajor);
-        assert_eq!(CpuVariant::Vendor.parallel_extent(4, 9), 4);
-        assert_eq!(CpuVariant::Vendor.to_string(), "vendor");
-        assert!(CpuVariant::WITH_VENDOR.contains(&CpuVariant::Vendor));
-        assert!(!CpuVariant::ALL.contains(&CpuVariant::Vendor));
-        assert!(CpuVariant::Vendor.source_snippet().contains("dgemm"));
+        assert_eq!(CpuVariant::OpenMpC.parallel_width(4, 9), 9);
+        assert_eq!(CpuVariant::JuliaThreads.parallel_width(4, 9), 4);
     }
 
     #[test]
     fn chunked_execution_equals_serial() {
-        for v in CpuVariant::WITH_VENDOR {
+        for v in CpuVariant::ALL {
             let layout = v.layout();
             let (m, k, n) = (12, 8, 10);
             let a = Matrix::<f64>::random(m, k, layout, 1);
@@ -371,22 +328,22 @@ mod tests {
             v.run_serial(&a, &b, &mut c_serial);
 
             let mut c_chunked = Matrix::<f64>::zeros(m, n, layout);
-            {
-                let ds = DisjointSlice::new(c_chunked.as_mut_slice());
-                let extent = v.parallel_extent(m, n);
-                let mid = extent / 2;
-                v.run_chunk(&a, &b, &ds, (m, n), Chunk { start: 0, end: mid });
-                v.run_chunk(
-                    &a,
-                    &b,
-                    &ds,
-                    (m, n),
-                    Chunk {
-                        start: mid,
-                        end: extent,
-                    },
-                );
-            }
+            let extent = v.parallel_extent(m, n);
+            let mid = extent / 2;
+            let (head, tail) = c_chunked
+                .as_mut_slice()
+                .split_at_mut(mid * v.parallel_width(m, n));
+            v.run_chunk(&a, &b, head, (m, n), Chunk { start: 0, end: mid });
+            v.run_chunk(
+                &a,
+                &b,
+                tail,
+                (m, n),
+                Chunk {
+                    start: mid,
+                    end: extent,
+                },
+            );
             assert_eq!(c_serial.max_abs_diff(&c_chunked), 0.0, "{v}");
         }
     }

@@ -191,26 +191,6 @@ proptest! {
         tuned::gemm(&pool, &a, &b, &mut par, &params);
         prop_assert_eq!(serial, par);
     }
-
-    /// The vendor variant rides the generic parallel driver and equals its
-    /// own serial run bit-for-bit, like every other variant.
-    #[test]
-    fn vendor_variant_parallel_equals_serial(
-        (m, k, n) in tuned_dims(),
-        seed in 0u64..1000,
-        threads in 1usize..6,
-    ) {
-        let v = CpuVariant::Vendor;
-        let layout = v.layout();
-        let a = Matrix::<f64>::random(m, k, layout, seed);
-        let b = Matrix::<f64>::random(k, n, layout, seed + 1);
-        let mut serial = Matrix::<f64>::zeros(m, n, layout);
-        v.run_serial(&a, &b, &mut serial);
-        let pool = ThreadPool::new(threads);
-        let mut par = Matrix::<f64>::zeros(m, n, layout);
-        par_gemm(&pool, v, &a, &b, &mut par, Schedule::StaticBlock);
-        prop_assert_eq!(serial, par);
-    }
 }
 
 proptest! {

@@ -12,6 +12,9 @@
 //!   panic propagation (the "OpenMP runtime"). Every parallel call site in
 //!   the workspace runs on it as a `parallel for` over a [`Schedule`],
 //!   which is the execution shape all four of the paper's CPU models share.
+//!   A loop that writes disjoint output uses
+//!   [`ThreadPool::parallel_for_mut`], which hands every chunk its own
+//!   `&mut` slice of the output.
 //! * [`Schedule`] — static (block or round-robin chunked), dynamic, and
 //!   guided loop schedules, implemented exactly as the OpenMP 5.x
 //!   specification describes them.
@@ -29,10 +32,10 @@
 //! * [`SenseBarrier`] — a reusable sense-reversing barrier for phases
 //!   inside one region, poisoned (through [`PoisonOnUnwind`]) when a
 //!   teammate panics so the rest of the team cannot hang on it.
-//! * [`DisjointSlice`] — safe disjoint mutable access for row-parallel
-//!   kernels.
 //! * [`CachePadded`] / [`CacheInfo`] — false-sharing padding for hot
 //!   shared atomics, and cache capacities for cache-aware blocking.
+
+#![deny(unsafe_code)]
 
 mod barrier;
 mod pad;
@@ -40,7 +43,6 @@ mod pool;
 mod queue;
 mod reduce;
 mod schedule;
-mod slice;
 mod stats;
 mod topology;
 
@@ -49,6 +51,5 @@ pub use pad::CachePadded;
 pub use pool::{ForContext, ThreadPool};
 pub use queue::WorkQueue;
 pub use schedule::{static_block, Chunk, Schedule, StaticChunks};
-pub use slice::DisjointSlice;
 pub use stats::RegionStats;
 pub use topology::{CacheInfo, CacheSource, CpuTopology, PinPolicy, Placement};

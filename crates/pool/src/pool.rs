@@ -14,13 +14,11 @@
 //! wait for a worker that is stuck in the other region's barrier.
 
 use crate::barrier::BarrierPoisoned;
-use crate::schedule::{Chunk, DynamicCursor, Schedule, StaticChunks};
-use crate::slice::SlotCell;
+use crate::schedule::{chunk_sequence, Chunk, DynamicCursor, Schedule, StaticChunks};
 use crate::stats::RegionStats;
 use crate::topology::{place, CpuTopology, PinPolicy, Placement};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -106,33 +104,78 @@ impl RegionState {
     }
 }
 
-/// A type-erased pointer to a region body living on the coordinator's
-/// stack. The join protocol guarantees the pointee outlives every call.
-struct Job {
-    data: *const (),
-    call: unsafe fn(*const (), usize),
-    state: Arc<RegionState>,
-}
-
-// SAFETY: `data` points at a `F: Sync` closure that the coordinator keeps
-// alive until all workers signalled completion; sending the pointer to
-// worker threads is exactly the `&F: Send` capability `F: Sync` grants.
-unsafe impl Send for Job {}
-
 enum Msg {
-    Run(Job),
+    Run(handoff::Job),
     Shutdown,
 }
 
-/// Calls the closure behind the erased pointer. Split out so each
-/// monomorphisation carries the concrete `F`.
-///
-/// # Safety
-///
-/// `data` must point to a live `F`.
-unsafe fn call_body<F: Fn(usize) + Sync>(data: *const (), thread_id: usize) {
-    let f = unsafe { &*(data as *const F) };
-    f(thread_id);
+/// The hand-off of a region body to the workers, the one module exempt
+/// from the crate's `deny` lint: a job carries a type-erased pointer to a
+/// body on the coordinator's stack. Jobs are made only by
+/// [`handoff::fork_join`], which does not return before every worker has
+/// reported completion, and running a job consumes it before the worker
+/// can report, so the body outlives every call.
+#[allow(unsafe_code)]
+mod handoff {
+    use super::{Msg, RegionState};
+    use crossbeam::channel::Sender;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+
+    /// One worker's share of a region: the erased body and the region's
+    /// completion state.
+    pub(super) struct Job {
+        data: *const (),
+        call: unsafe fn(*const (), usize),
+        state: Arc<RegionState>,
+    }
+
+    // SAFETY: `data` points at a `F: Sync` closure that the coordinator
+    // keeps alive until all workers signalled completion; sending the
+    // pointer to worker threads is exactly the `&F: Send` capability
+    // `F: Sync` grants.
+    unsafe impl Send for Job {}
+
+    impl Job {
+        /// Runs the body as worker `tid`, catching a panic, and hands back
+        /// the region's state for the worker to report completion on.
+        pub(super) fn run(self, tid: usize) -> (std::thread::Result<()>, Arc<RegionState>) {
+            // SAFETY: `fork_join` keeps the body alive until this worker
+            // reports completion on the returned state, which it can only
+            // do after this call.
+            let result = catch_unwind(AssertUnwindSafe(|| unsafe { (self.call)(self.data, tid) }));
+            (result, self.state)
+        }
+    }
+
+    /// Sends every worker behind `senders` a job that runs `body`, and
+    /// returns once all of them have reported completion on `state`.
+    pub(super) fn fork_join<F: Fn(usize) + Sync>(
+        senders: &[Sender<Msg>],
+        body: &F,
+        state: &Arc<RegionState>,
+    ) {
+        for tx in senders {
+            let job = Job {
+                data: body as *const F as *const (),
+                call: call_body::<F>,
+                state: Arc::clone(state),
+            };
+            tx.send(Msg::Run(job)).expect("worker channel closed");
+        }
+        state.wait();
+    }
+
+    /// Calls the closure behind the erased pointer. Split out so each
+    /// monomorphisation carries the concrete `F`.
+    ///
+    /// # Safety
+    ///
+    /// `data` must point to a live `F`.
+    unsafe fn call_body<F: Fn(usize) + Sync>(data: *const (), thread_id: usize) {
+        let f = unsafe { &*(data as *const F) };
+        f(thread_id);
+    }
 }
 
 /// A persistent team of worker threads with OpenMP-style fork-join
@@ -194,7 +237,7 @@ impl ThreadPool {
                     while let Ok(msg) = rx.recv() {
                         match msg {
                             Msg::Run(job) => {
-                                let result = {
+                                let (result, state) = {
                                     // Hardware-counter scope around the
                                     // region body (no-op unless profiling
                                     // is enabled); dropped before
@@ -202,12 +245,7 @@ impl ThreadPool {
                                     // never observes a half-recorded
                                     // region.
                                     let _hw = perfport_obs::thread_scope();
-                                    catch_unwind(AssertUnwindSafe(|| {
-                                        // SAFETY: the coordinator keeps the
-                                        // closure alive until `finish_one` has
-                                        // been called by every worker.
-                                        unsafe { (job.call)(job.data, tid) }
-                                    }))
+                                    job.run(tid)
                                 };
                                 if let Err(payload) = &result {
                                     // Flight-record the poisoning task
@@ -224,9 +262,9 @@ impl ThreadPool {
                                         perfport_telemetry::event("task_panic", msg.clone());
                                         perfport_telemetry::flight_dump("task_panic", &msg);
                                     }
-                                    job.state.panicked.store(true, Ordering::Release);
+                                    state.panicked.store(true, Ordering::Release);
                                 }
-                                job.state.finish_one();
+                                state.finish_one();
                             }
                             Msg::Shutdown => break,
                         }
@@ -286,15 +324,7 @@ impl ThreadPool {
         perfport_telemetry::event("region_begin", format!("team={}", self.senders.len()));
         let started = Instant::now();
         let state = RegionState::new(self.senders.len());
-        for tx in &self.senders {
-            let job = Job {
-                data: body as *const F as *const (),
-                call: call_body::<F>,
-                state: Arc::clone(&state),
-            };
-            tx.send(job_msg(job)).expect("worker channel closed");
-        }
-        state.wait();
+        handoff::fork_join(&self.senders, body, &state);
         drop(serial);
         let region_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         perfport_telemetry::counter_add("pool/regions", 1);
@@ -323,9 +353,7 @@ impl ThreadPool {
     {
         let team = self.num_threads();
         let mut sp = perfport_trace::span("pool", "parallel_for");
-        let items = SlotCell::<usize>::new(team);
-        let chunks = SlotCell::<usize>::new(team);
-        let busy = SlotCell::<Duration>::new(team);
+        let tallies: Vec<Mutex<Tally>> = (0..team).map(|_| Mutex::default()).collect();
         let cursor = DynamicCursor::new(n);
         let placements = &self.placements;
 
@@ -352,27 +380,33 @@ impl ThreadPool {
                     my_chunks += 1;
                 }
             }
-            // SAFETY: each worker writes only its own slot, and the
-            // coordinator reads only after the join.
-            unsafe {
-                items.set(tid, my_items);
-                chunks.set(tid, my_chunks);
-                busy.set(tid, t0.elapsed());
-            }
+            // Each worker locks only its own tally, so the lock never
+            // waits.
+            *tallies[tid].lock() = Tally {
+                items: my_items,
+                chunks: my_chunks,
+                busy: t0.elapsed(),
+            };
         };
         self.run_region(&task);
         let elapsed = started.elapsed();
 
-        let busy = busy.into_inner();
-        let max_busy = busy.iter().copied().max().unwrap_or(Duration::ZERO);
+        let tallies: Vec<Tally> = tallies.into_iter().map(Mutex::into_inner).collect();
+        let max_busy = tallies
+            .iter()
+            .map(|t| t.busy)
+            .max()
+            .unwrap_or(Duration::ZERO);
         // A thread that finished early sat at the implicit end barrier for
         // the rest of the region; that wait is the schedule's imbalance in
         // wall time, so it is measured on every run.
-        let barrier_wait_per_thread: Vec<Duration> =
-            busy.iter().map(|&b| elapsed.saturating_sub(b)).collect();
+        let barrier_wait_per_thread: Vec<Duration> = tallies
+            .iter()
+            .map(|t| elapsed.saturating_sub(t.busy))
+            .collect();
         let stats = RegionStats {
-            items_per_thread: items.into_inner(),
-            chunks_per_thread: chunks.into_inner(),
+            items_per_thread: tallies.iter().map(|t| t.items).collect(),
+            chunks_per_thread: tallies.iter().map(|t| t.chunks).collect(),
             elapsed,
             fork_join_overhead: elapsed.saturating_sub(max_busy),
             barrier_wait_per_thread,
@@ -404,6 +438,63 @@ impl ThreadPool {
         stats
     }
 
+    /// Work-sharing loop that writes disjoint output: the index space is
+    /// `0..data.len() / width`, and every chunk's body receives exactly
+    /// its own elements, `data[chunk.start * width..chunk.end * width]`,
+    /// as a `&mut` slice.
+    ///
+    /// This is the safe form of "each row belongs to one thread": `data`
+    /// is split with `split_at_mut` along the schedule's chunk sequence
+    /// (a pure function of the schedule, `n` and the team size, dynamic
+    /// and guided included) before the region starts, and each slice is
+    /// handed out once. The static schedules need one slice per chunk, so
+    /// [`Schedule::StaticBlock`] allocates one per thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics before any worker runs if `width` is zero or does not
+    /// divide `data.len()`, or if a chunked schedule's chunk size is zero;
+    /// re-raises a worker's panic like [`ThreadPool::parallel_for`].
+    pub fn parallel_for_mut<T, F>(
+        &self,
+        data: &mut [T],
+        width: usize,
+        schedule: Schedule,
+        body: F,
+    ) -> RegionStats
+    where
+        T: Send,
+        F: Fn(ForContext, Chunk, &mut [T]) + Sync,
+    {
+        assert!(
+            width > 0 && data.len().is_multiple_of(width),
+            "width {width} does not divide the {} elements",
+            data.len()
+        );
+        let n = data.len() / width;
+        let chunks = chunk_sequence(schedule, n, self.num_threads());
+        let mut rest = data;
+        let slices: Vec<Mutex<Option<&mut [T]>>> = chunks
+            .iter()
+            .map(|c| {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(c.len() * width);
+                rest = tail;
+                Mutex::new(Some(mine))
+            })
+            .collect();
+        self.parallel_for(n, schedule, |ctx, chunk| {
+            let slot = chunks
+                .binary_search_by_key(&chunk.start, |c| c.start)
+                .expect("the schedule hands out only chunks of its sequence");
+            let mine = slices[slot]
+                .lock()
+                .take()
+                .expect("each chunk is handed out once");
+            assert_eq!(mine.len(), chunk.len() * width, "chunk {chunk:?} resized");
+            body(ctx, chunk, mine);
+        })
+    }
+
     /// Convenience per-index variant of [`ThreadPool::parallel_for`].
     pub fn parallel_for_each<F>(&self, n: usize, schedule: Schedule, body: F) -> RegionStats
     where
@@ -429,26 +520,25 @@ impl ThreadPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let slots = SlotCell::<Option<T>>::new(n);
-        self.parallel_for_each(n, schedule, |i| {
-            let v = f(i);
-            // SAFETY: every schedule assigns each index to exactly one
-            // chunk (one worker), and the coordinator reads the slots
-            // only after the region joined.
-            unsafe { slots.set(i, Some(v)) };
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        self.parallel_for_mut(&mut slots, 1, schedule, |_, chunk, out| {
+            for (i, slot) in chunk.range().zip(out) {
+                *slot = Some(f(i));
+            }
         });
         slots
-            .into_inner()
             .into_iter()
             .map(|v| v.expect("schedule visited every index exactly once"))
             .collect()
     }
 }
 
-/// Wraps a job; separated so `Msg` construction stays next to its
-/// definition.
-fn job_msg(job: Job) -> Msg {
-    Msg::Run(job)
+/// One worker's share of a `parallel_for`, reported after the join.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    items: usize,
+    chunks: usize,
+    busy: Duration,
 }
 
 /// `Duration` → saturating nanoseconds, for telemetry histograms.
@@ -472,6 +562,7 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -504,7 +595,83 @@ mod tests {
                 "{schedule:?} missed or duplicated an index"
             );
             assert_eq!(stats.total_items(), n, "{schedule:?} stats miscounted");
+
+            // The same index space through `parallel_for_mut`: every
+            // element written once, each body given exactly its chunk.
+            let width = 3;
+            let mut data = vec![0u32; n * width];
+            let stats = pool.parallel_for_mut(&mut data, width, schedule, |_, chunk, out| {
+                assert_eq!(out.len(), chunk.len() * width, "{schedule:?} {chunk:?}");
+                for (i, row) in chunk.range().zip(out.chunks_exact_mut(width)) {
+                    for x in row {
+                        *x += i as u32 + 1;
+                    }
+                }
+            });
+            assert!(
+                data.chunks_exact(width)
+                    .enumerate()
+                    .all(|(i, row)| row.iter().all(|&x| x == i as u32 + 1)),
+                "{schedule:?} missed or duplicated an element"
+            );
+            assert_eq!(stats.total_items(), n, "{schedule:?} stats miscounted");
         }
+    }
+
+    #[test]
+    fn parallel_for_mut_rejects_a_ragged_width_before_any_worker_runs() {
+        let pool = ThreadPool::new(3);
+        let ran = AtomicUsize::new(0);
+        let mut data = vec![0u8; 10];
+        for width in [0, 3, 4] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_for_mut(&mut data, width, Schedule::StaticBlock, |_, _, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            let message = result.expect_err("ragged width must panic");
+            let message = message
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(message.contains("does not divide"), "{message}");
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.regions_run(), 0);
+    }
+
+    #[test]
+    fn parallel_for_mut_over_empty_data_is_fine() {
+        let pool = ThreadPool::new(4);
+        let mut empty: Vec<f64> = Vec::new();
+        for schedule in [Schedule::StaticBlock, Schedule::Guided { min_chunk: 1 }] {
+            let stats =
+                pool.parallel_for_mut(&mut empty, 5, schedule, |_, _, _| panic!("must not run"));
+            assert_eq!(stats.total_items(), 0);
+        }
+    }
+
+    #[test]
+    fn parallel_for_mut_propagates_a_worker_panic() {
+        let pool = ThreadPool::new(4);
+        let mut data = vec![0usize; 64];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.parallel_for_mut(
+                &mut data,
+                2,
+                Schedule::Dynamic { chunk: 3 },
+                |_, chunk, _| {
+                    assert!(!chunk.range().contains(&17), "boom");
+                },
+            );
+        }));
+        assert!(result.is_err());
+        // The pool must remain usable, and the data writable, afterwards.
+        pool.parallel_for_mut(&mut data, 2, Schedule::StaticBlock, |_, chunk, out| {
+            for (i, x) in (chunk.start * 2..).zip(out) {
+                *x = i;
+            }
+        });
+        assert_eq!(data, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

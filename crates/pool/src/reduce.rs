@@ -3,13 +3,18 @@
 //!
 //! Each thread folds its chunks into a private accumulator; the
 //! coordinator combines the per-thread partials in thread order after
-//! the join, so a reduction over a commutative-associative operator is
-//! deterministic for a fixed team size and schedule.
+//! the join. Under a static schedule every thread folds the same chunks
+//! in the same order on every run, so for a fixed team size the result
+//! is bitwise deterministic even for floating point. Under
+//! [`Schedule::Dynamic`] and [`Schedule::Guided`] which chunks land in
+//! which thread's partial changes from run to run, so a floating-point
+//! sum may differ in its last bits; only an exactly associative operator
+//! (integer sums, `max`) is deterministic there.
 
 use crate::pool::{ForContext, ThreadPool};
 use crate::schedule::{Chunk, Schedule};
-use crate::slice::SlotCell;
 use crate::stats::RegionStats;
+use parking_lot::Mutex;
 
 impl ThreadPool {
     /// Reduces over `0..n`: `fold` accumulates a chunk into the thread's
@@ -30,16 +35,18 @@ impl ThreadPool {
         Fold: Fn(ForContext, Chunk, T) -> T + Sync,
         Combine: Fn(T, T) -> T,
     {
-        let team = self.num_threads();
-        let partials = SlotCell::<Option<T>>::new(team);
+        // One partial per thread; each worker locks only its own, so the
+        // locks never wait.
+        let partials: Vec<Mutex<Option<T>>> =
+            (0..self.num_threads()).map(|_| Mutex::new(None)).collect();
         let identity_ref = &identity;
-        let stats =
-            self.parallel_for_cells(n, schedule, &partials, |ctx, chunk, acc: &mut Option<T>| {
-                let current = acc.take().unwrap_or_else(|| identity_ref.clone());
-                *acc = Some(fold(ctx, chunk, current));
-            });
+        let stats = self.parallel_for(n, schedule, |ctx, chunk| {
+            let mut acc = partials[ctx.thread_id].lock();
+            let current = acc.take().unwrap_or_else(|| identity_ref.clone());
+            *acc = Some(fold(ctx, chunk, current));
+        });
         let mut result = identity;
-        for partial in partials.into_inner().into_iter().flatten() {
+        for partial in partials.into_iter().filter_map(Mutex::into_inner) {
             result = combine(result, partial);
         }
         (result, stats)
@@ -62,28 +69,6 @@ impl ThreadPool {
             },
             |a, b| a + b,
         )
-    }
-
-    /// Internal: a `parallel_for` where each thread also owns a mutable
-    /// cell, threaded through every chunk it executes.
-    fn parallel_for_cells<T, F>(
-        &self,
-        n: usize,
-        schedule: Schedule,
-        cells: &SlotCell<T>,
-        body: F,
-    ) -> RegionStats
-    where
-        T: Default + Clone + Send,
-        F: Fn(ForContext, Chunk, &mut T) + Sync,
-    {
-        self.parallel_for(n, schedule, |ctx, chunk| {
-            // SAFETY: each thread touches only its own slot, and the
-            // region join orders these accesses before `into_inner`.
-            unsafe {
-                cells.with(ctx.thread_id, |cell| body(ctx, chunk, cell));
-            }
-        })
     }
 }
 
@@ -144,14 +129,16 @@ mod tests {
 
     #[test]
     fn reduction_is_deterministic_for_fixed_team_and_static_schedule() {
+        // Non-integral terms, so a different fold order would show in the
+        // last bits.
         let pool = ThreadPool::new(5);
-        let run = || {
-            pool.parallel_sum(4096, Schedule::StaticBlock, |i| (i as f64).sin())
-                .0
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.to_bits(), b.to_bits());
+        for schedule in [Schedule::StaticBlock, Schedule::StaticChunked { chunk: 7 }] {
+            let run = || pool.parallel_sum(4096, schedule, |i| (i as f64).sin()).0;
+            let first = run();
+            for _ in 0..20 {
+                assert_eq!(run().to_bits(), first.to_bits(), "{schedule:?}");
+            }
+        }
     }
 
     #[test]

@@ -160,6 +160,55 @@ impl Iterator for StaticChunks {
     }
 }
 
+/// Size of the chunk a guided grab takes with `remaining` iterations
+/// left: `ceil(remaining / threads)`, clamped below by `min_chunk` — the
+/// classic guided self-scheduling formula (Polychronopoulos & Kuck).
+fn guided_size(remaining: usize, threads: usize, min_chunk: usize) -> usize {
+    remaining.div_ceil(threads).max(min_chunk).min(remaining)
+}
+
+/// Every chunk `schedule` carves `0..n` into for a team of `threads`, in
+/// index order.
+///
+/// This is a pure function of its arguments for every schedule: the
+/// static schedules fix their chunks up front, and a dynamic or guided
+/// grab's size depends only on the cursor position it starts from, so
+/// the sequence is the same whichever worker grabs which chunk. Empty
+/// [`Schedule::StaticBlock`] blocks (more threads than iterations) are
+/// left out.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or a chunked schedule's chunk size is zero.
+pub(crate) fn chunk_sequence(schedule: Schedule, n: usize, threads: usize) -> Vec<Chunk> {
+    assert!(threads > 0, "thread team must be non-empty");
+    if schedule == Schedule::StaticBlock {
+        return (0..threads)
+            .map(|t| static_block(n, threads, t))
+            .filter(|c| !c.is_empty())
+            .collect();
+    }
+    let mut chunks = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let remaining = n - start;
+        let len = match schedule {
+            Schedule::StaticChunked { chunk } | Schedule::Dynamic { chunk } => {
+                assert!(chunk > 0, "chunk size must be positive");
+                chunk.min(remaining)
+            }
+            Schedule::Guided { min_chunk } => guided_size(remaining, threads, min_chunk),
+            Schedule::StaticBlock => unreachable!("handled above"),
+        };
+        chunks.push(Chunk {
+            start,
+            end: start + len,
+        });
+        start += len;
+    }
+    chunks
+}
+
 /// Shared state for dynamic and guided schedules: a single atomic cursor
 /// over `0..n`, grabbed in chunks.
 ///
@@ -199,16 +248,14 @@ impl DynamicCursor {
             }
             Schedule::Guided { min_chunk } => {
                 debug_assert!(min_chunk > 0);
-                // CAS loop: chunk size = ceil(remaining / threads), clamped
-                // below by min_chunk — the classic guided self-scheduling
-                // formula (Polychronopoulos & Kuck).
+                // CAS loop: the chunk size is a function of the cursor
+                // position alone (see `guided_size`).
                 let mut cur = self.next.load(Ordering::Relaxed);
                 loop {
                     if cur >= self.n {
                         return None;
                     }
-                    let remaining = self.n - cur;
-                    let size = remaining.div_ceil(threads).max(min_chunk).min(remaining);
+                    let size = guided_size(self.n - cur, threads, min_chunk);
                     match self.next.compare_exchange_weak(
                         cur,
                         cur + size,
@@ -366,6 +413,39 @@ mod tests {
             }
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn chunk_sequence_is_what_the_workers_get() {
+        for (n, threads) in [(0, 3), (1, 4), (10, 2), (103, 4), (1237, 7)] {
+            for schedule in [
+                Schedule::StaticBlock,
+                Schedule::StaticChunked { chunk: 3 },
+                Schedule::Dynamic { chunk: 5 },
+                Schedule::Guided { min_chunk: 2 },
+            ] {
+                let mut got: Vec<Chunk> = if schedule.is_static() {
+                    (0..threads)
+                        .flat_map(|t| StaticChunks::new(schedule, n, threads, t))
+                        .collect()
+                } else {
+                    let cursor = DynamicCursor::new(n);
+                    std::iter::from_fn(|| cursor.grab(schedule, threads)).collect()
+                };
+                got.sort_by_key(|c| c.start);
+                assert_eq!(
+                    got,
+                    chunk_sequence(schedule, n, threads),
+                    "{schedule:?} n={n} t={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn chunk_sequence_rejects_zero_chunks() {
+        let _ = chunk_sequence(Schedule::Dynamic { chunk: 0 }, 10, 2);
     }
 
     #[test]
